@@ -72,14 +72,16 @@ def parse_n_list(text: str, upper: int) -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if lo > hi:
                 raise ValueError(f"empty range {token!r}")
-            out.extend(range(lo, hi + 1))
         elif token:
-            out.append(int(token))
+            lo = hi = int(token)
+        else:
+            continue
+        # checked before the range is built, so a huge range costs nothing
+        if lo < 1 or hi > upper:
+            raise ValueError(f"orders {token!r} outside [1, {upper}]")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"no orders in {text!r}")
-    for n in out:
-        if not 1 <= n <= upper:
-            raise ValueError(f"order {n} outside [1, {upper}]")
     return out
 
 

@@ -127,6 +127,9 @@ def make_weights(kind: str, alpha: float | None = None, beta: int | None = None)
     norlund_log    q_0 = 0, q_k = 1/k     (norlund aggregation)
     blog           q_0 = 0, q_k = log^(beta)(k^alpha) truncated at 0 (tmean)
     """
+    if alpha is not None and not math.isfinite(alpha):
+        spec = ":".join(str(part) for part in (kind, alpha, beta) if part is not None)
+        raise ValueError(f"weight spec {spec!r} needs a finite alpha")
     if kind == "constant":
         return WeightSequence(
             "constant", lambda ks: np.ones(len(ks)), "norlund", "non-increasing"

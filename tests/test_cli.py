@@ -1,6 +1,7 @@
 """Corpus generation and the experiment-runner CLI contract."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ class TestConvergeCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_huge_range_rejected_before_it_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="outside"):
+                cli.parse_n_list("1..2000000", 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"parse_n_list peaked at {peak} bytes"
+
+    @pytest.mark.parametrize("text", ["0..4", "3..5000", "0", "4097", "5,1..4097"])
+    def test_orders_outside_bounds(self, text):
+        with pytest.raises(ValueError, match="outside"):
+            cli.parse_n_list(text, 4096)
+
+    def test_order_list_parsing(self):
+        assert cli.parse_n_list("1..3, 8,2..2", 8) == [1, 2, 3, 8, 2]
+
 
 class TestBenchCommand:
     def test_reports_speedup(self, capsys):
@@ -194,3 +213,11 @@ class TestConfigAndUsage:
     def test_bad_weight_spec(self, capsys):
         code = cli.main(["converge", "--base", "2,3", "--weights", "cesaro:2.0"])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["blog:inf:1", "blog:nan:1"])
+    def test_non_finite_weight_parameter(self, spec, capsys):
+        argv = ["converge", "--base", "2", "--depth", "4", "--weights", spec, "--n", "3..4"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert spec in captured.err and "finite alpha" in captured.err
+        assert captured.out == ""

@@ -107,6 +107,13 @@ class TestWeights:
         with pytest.raises(ValueError):
             make_weights("nope")
 
+    @pytest.mark.parametrize("spec", ["blog:inf:1", "blog:nan:1", "blog:-inf:2",
+                                      "cesaro:nan", "valpha:inf"])
+    def test_non_finite_alpha_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite alpha") as info:
+            weights_from_spec(spec)
+        assert spec in str(info.value)
+
     def test_spec_grammar(self):
         assert weights_from_spec("cesaro:0.5").kind == "cesaro:0.5"
         assert weights_from_spec("blog:0.5:1").kind == "blog:0.5:1"

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin.analysis import lp_norm
 from vilenkin.group import GroupPoint, VilenkinBase
@@ -21,6 +23,7 @@ from vilenkin.transform import (
     forward_naive_batch,
     inverse,
     rademacher,
+    read_complex_csv,
 )
 
 BASE232 = VilenkinBase.parse("2,3,2")
@@ -125,6 +128,55 @@ class TestForward:
             np.testing.assert_allclose(batch[i], single, atol=EXACT)
 
 
+MAX_PROPERTY_SIZE = 512
+
+
+@st.composite
+def radix_lists(draw):
+    """Radix lists with entries 2..16 and M_N <= MAX_PROPERTY_SIZE."""
+    radices = [draw(st.integers(2, 16))]
+    size = radices[0]
+    while 2 * size <= MAX_PROPERTY_SIZE and draw(st.booleans()):
+        radices.append(draw(st.integers(2, min(16, MAX_PROPERTY_SIZE // size))))
+        size *= radices[-1]
+    return radices
+
+
+class TestStages:
+    """Each stage kernel: the radix-2 butterfly and the DFT-matrix product."""
+
+    @pytest.mark.parametrize("spec", [
+        "2,2,2,2,2",  # butterflies only
+        "7",  # one matrix stage on one row
+        "3,2,2,2",  # matrix stage on the input, then butterflies
+        "2,2,2,2,2,2,3",  # butterflies, then a matrix stage on 64 columns
+        "5,2,3,4,2",  # alternating kinds
+        "16,16",  # the largest radix
+    ])
+    def test_against_naive_and_round_trip(self, spec):
+        f = random_step(VilenkinBase.parse(spec), 7)
+        coeffs = forward(f).coeffs
+        assert np.max(np.abs(coeffs - forward_naive(f).coeffs)) <= EXACT
+        assert np.max(np.abs(inverse(Spectrum(f.base, coeffs)).values - f.values)) <= EXACT
+
+    def test_walsh_butterflies_are_exact(self):
+        # psi_n(x) = (-1)^popcount(n & x): the Sylvester-Hadamard matrix
+        base = VilenkinBase.parse("2").with_depth(6)
+        hadamard = np.ones((1, 1))
+        for _ in range(base.depth):
+            hadamard = np.kron(hadamard, [[1, 1], [1, -1]])
+        coeffs = np.random.default_rng(1).integers(-9, 10, base.size).astype(complex)
+        np.testing.assert_array_equal(inverse(Spectrum(base, coeffs)).values, hadamard @ coeffs)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(radices=radix_lists(), seed=st.integers(0, 2**32 - 1))
+    def test_random_radix_lists(self, radices, seed):
+        f = random_step(VilenkinBase(tuple(radices)), seed)
+        coeffs = forward(f).coeffs
+        assert np.max(np.abs(coeffs - forward_naive(f).coeffs)) <= EXACT
+        assert np.max(np.abs(inverse(Spectrum(f.base, coeffs)).values - f.values)) <= EXACT
+
+
 class TestInverse:
     def test_round_trip_random(self):
         f = random_step(BASE232, 42)
@@ -222,6 +274,26 @@ class TestSerialization:
     def test_value_length_enforced(self):
         with pytest.raises(ValueError):
             StepFunction(BASE232, np.ones(5))
+
+    @pytest.mark.parametrize("rows, message", [
+        # repeated and negative indices: without the index check slots 1 and 2 stay unwritten
+        (["0,1.0,0.0", "0,2.0,0.0", "-1,3.0,0.0", "-1,4.0,0.0"], "line 3: index 0, expected 1"),
+        (["0,1.0,0.0", "2,2.0,0.0", "1,3.0,0.0", "3,4.0,0.0"], "line 3: index 2, expected 1"),
+        (["0,1.0,0.0", "1,2.0", "2,3.0,0.0", "3,4.0,0.0"], "line 3: expected 'index,re,im'"),
+        (["0,1.0,0.0", "1,2.0,0.0,5", "2,3.0,0.0", "3,4.0,0.0"], "line 3: expected"),
+        (["0,1.0,0.0", "1,2.0,0.0", "x,3.0,0.0", "3,4.0,0.0"], "line 4: expected"),
+        (["0,1.0,0.0", "1,2.0,0.0", "2,nan,0.0", "3,4.0,0.0"], "line 4: non-finite"),
+        (["0,1.0,0.0", "1,2.0,0.0", "2,3.0,0.0", "3,4.0,-inf"], "line 5: non-finite"),
+        (["0,1.0,0.0", "1,2.0,0.0", "2,3.0,0.0", "3,1e400,0.0"], "line 5: non-finite"),
+    ])
+    def test_malformed_rows_rejected(self, rows, message):
+        text = "\n".join(["n,re,im"] + rows) + "\n"
+        with pytest.raises(ValueError, match=message):
+            read_complex_csv(io.StringIO(text), 4)
+
+    def test_row_count_enforced(self):
+        with pytest.raises(ValueError, match="expected 4 rows, got 3"):
+            read_complex_csv(io.StringIO("n,re,im\n0,1,0\n1,1,0\n2,1,0\n"), 4)
 
 
 class TestComplexityTrend:
