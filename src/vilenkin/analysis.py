@@ -22,7 +22,7 @@ def lp_norm(f: StepFunction, p: float) -> float:
     """||f||_p with ||f||_p^p = (1/M_N) sum |f|^p; p = inf is the max."""
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
+    if not p >= 1:  # also rejects nan
         raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
@@ -34,7 +34,7 @@ def weak_lp(f: StepFunction, p: float) -> float:
     t * mu(|f| >= t)^(1/p) there attains the supremum exactly, because the
     distribution function only jumps at those values.
     """
-    if p < 1:
+    if not p >= 1:  # also rejects nan
         raise ValueError(f"weak norm exponent must be >= 1, got {p}")
     magnitudes = np.abs(f.values)
     best = 0.0
@@ -99,16 +99,11 @@ def restricted_maximal(
     weight prefix are skipped.
     """
     base = f.base
+    if family == "L_at_Mn":
+        weights = make_weights("norlund_log")
     if family == "S_at_Mn":
         operators = (partial_sum(f, m_r) for m_r in base.cumprod)
-    elif family == "L_at_Mn":
-        log_weights = make_weights("norlund_log")
-        operators = (
-            mean(f, log_weights, m_r, method="kernel")
-            for m_r in base.cumprod
-            if log_weights.Q(m_r) > 0
-        )
-    elif family == "t_at_Mn":
+    elif family in ("L_at_Mn", "t_at_Mn"):
         if weights is None:
             raise ValueError("family 't_at_Mn' needs a weight sequence")
         operators = (
@@ -173,6 +168,9 @@ def convergence_sweep(
     """
     base = f.base
     points = list(points or [])
+    for rank in points:
+        if not 0 <= rank < base.size:
+            raise ValueError(f"point rank {rank} outside [0, {base.size})")
     blocks = set(base.cumprod)
     records = []
     for n in n_list:

@@ -22,23 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, summability, transform
+from . import analysis, transform
 from .corpus import corpus
 from .group import VilenkinBase
 from .summability import (
     WeightSequence,
     dirichlet,
     fejer_kernel,
-    kernel_for,
-    make_weights,
-    mean,
     norlund_kernel,
     t_kernel,
+    verify_abel_prefix_sum,
     verify_block_kernel_split,
     verify_dirichlet_complement,
+    verify_dirichlet_integral,
+    verify_kernel_abel,
+    verify_kernel_mass,
+    verify_mean_paths,
     weights_from_spec,
 )
-from .transform import StepFunction, forward, forward_naive, inverse
+from .transform import StepFunction, forward, forward_naive, inverse, verify_orthonormality
 
 EXACT_TOL = 1e-12
 COMPOSED_TOL = 1e-10
@@ -131,11 +133,7 @@ def run_verify(base: VilenkinBase, weight_specs: list[WeightSequence], seed: int
 
     # Transform layer.
     if base.size <= 256:
-        block = transform.character_block(base, 0, base.size)
-        gram = block @ np.conj(block).T / base.size
-        checks.append(Check(
-            "orthonormality", float(np.max(np.abs(gram - np.eye(base.size)))), EXACT_TOL
-        ))
+        checks.append(Check("orthonormality", verify_orthonormality(base), EXACT_TOL))
     spec = forward(f)
     checks.append(Check(
         "fast_vs_naive",
@@ -165,12 +163,7 @@ def run_verify(base: VilenkinBase, weight_specs: list[WeightSequence], seed: int
     checks.append(Check("young_inequality", young, EXACT_TOL))
 
     # Dirichlet kernels: unit integral for every order, complement identity.
-    running = np.zeros(base.size, dtype=np.complex128)
-    worst = 0.0
-    for n in range(1, base.size + 1):
-        running += transform.character_values(base, n - 1)
-        worst = max(worst, abs(running.mean() / 1.0 - 1.0))
-    checks.append(Check("dirichlet_integral", worst, EXACT_TOL))
+    checks.append(Check("dirichlet_integral", verify_dirichlet_integral(base), EXACT_TOL))
     worst = 0.0
     for r in range(base.depth + 1):
         m_r = base.cumprod[r]
@@ -184,50 +177,17 @@ def run_verify(base: VilenkinBase, weight_specs: list[WeightSequence], seed: int
     orders = _sample_orders(base.size, base)
     for w in weight_specs:
         tag = w.kind
-        worst = 0.0
-        for n in range(1, horizon + 1):
-            q = w.q_prefix(n)
-            Qn = w.Q(n)
-            if Qn <= 0:
-                continue
-            rebuilt = q[0] * n + sum(
-                (q[n - j] - q[n - j - 1]) * j for j in range(1, n)
-            )
-            worst = max(worst, abs(rebuilt - Qn) / Qn)
-        checks.append(Check(f"abel_prefix_sum[{tag}]", worst, COMPOSED_TOL))
-
-        worst_mass = 0.0
-        worst_kernel_abel = 0.0
-        worst_paths = 0.0
-        for n in orders:
-            if w.Q(n) <= 0:
-                continue
-            table = kernel_for(w, base, n)
-            if w.mean_type == "norlund":
-                expected_mass = 1.0
-            else:
-                expected_mass = 1.0 - w.q(0) / w.Q(n)
-            worst_mass = max(worst_mass, abs(table.integral() - expected_mass))
-            if w.mean_type == "norlund":
-                q = w.q_prefix(n)
-                combo = np.zeros(base.size, dtype=np.complex128)
-                for j in range(1, n):
-                    combo += (q[n - j] - q[n - j - 1]) * j * fejer_kernel(base, j).values
-                combo += q[0] * n * fejer_kernel(base, n).values
-                worst_kernel_abel = max(
-                    worst_kernel_abel,
-                    float(np.max(np.abs(combo / w.Q(n) - table.values))),
-                )
-            direct = mean(f, w, n, method="direct")
-            for method in ("kernel", "abel"):
-                other = mean(f, w, n, method=method)
-                worst_paths = max(
-                    worst_paths, float(np.max(np.abs(other.values - direct.values)))
-                )
-        checks.append(Check(f"kernel_mass[{tag}]", worst_mass, EXACT_TOL))
+        checks.append(Check(
+            f"abel_prefix_sum[{tag}]", verify_abel_prefix_sum(w, horizon), COMPOSED_TOL
+        ))
+        live = [n for n in orders if w.Q(n) > 0]
+        worst = max((verify_kernel_mass(w, base, n) for n in live), default=0.0)
+        checks.append(Check(f"kernel_mass[{tag}]", worst, EXACT_TOL))
         if w.mean_type == "norlund":
-            checks.append(Check(f"kernel_abel_identity[{tag}]", worst_kernel_abel, COMPOSED_TOL))
-        checks.append(Check(f"mean_path_agreement[{tag}]", worst_paths, COMPOSED_TOL))
+            worst = max((verify_kernel_abel(w, base, n) for n in live), default=0.0)
+            checks.append(Check(f"kernel_abel_identity[{tag}]", worst, COMPOSED_TOL))
+        worst = max((verify_mean_paths(f, w, n) for n in live), default=0.0)
+        checks.append(Check(f"mean_path_agreement[{tag}]", worst, COMPOSED_TOL))
 
         if w.monotonicity == "non-increasing":
             worst = max(
@@ -333,17 +293,18 @@ def cmd_kernel_dump(args) -> int:
     kind = args.kind
     w = weights_from_spec(args.weights) if args.weights else None
     if kind == "auto":
-        kind = ("norlund" if w.mean_type == "norlund" else "tmean") if w else "dirichlet"
-    if kind == "dirichlet":
-        table = dirichlet(base, n)
-    elif kind == "fejer":
-        table = fejer_kernel(base, n)
-    elif kind in ("norlund", "tmean"):
-        if w is None:
-            raise ValueError(f"kernel kind {kind!r} needs --weights")
-        table = norlund_kernel(w, base, n) if kind == "norlund" else t_kernel(w, base, n)
-    else:
+        kind = w.mean_type if w else "dirichlet"
+    kernels = {
+        "dirichlet": lambda: dirichlet(base, n),
+        "fejer": lambda: fejer_kernel(base, n),
+        "norlund": lambda: norlund_kernel(w, base, n),
+        "tmean": lambda: t_kernel(w, base, n),
+    }
+    if kind not in kernels:
         raise ValueError(f"unknown kernel kind {kind!r}")
+    if w is None and kind in ("norlund", "tmean"):
+        raise ValueError(f"kernel kind {kind!r} needs --weights")
+    table = kernels[kind]()
     out = _open_out(args)
     try:
         table.to_csv(out)

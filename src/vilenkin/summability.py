@@ -18,7 +18,9 @@ so that the mean is convolution of f with its kernel.  D_0 is the empty sum
                         + q_0 * n * sigma_n f )
 
 where sigma_j is the Fejer mean; means are evaluated through all three
-routes (direct, kernel convolution, Abel) and cross-checked in the tests.
+routes (direct, kernel convolution, Abel).  The ``verify_*`` functions return
+the residual of one identity each, with no tolerance: ``vilenkin verify`` and
+the test suite call the same functions and keep their own thresholds.
 """
 
 from __future__ import annotations
@@ -353,48 +355,41 @@ def mean(f: StepFunction, w: WeightSequence, n: int, method: str = "direct") -> 
     raise ValueError(f"unknown method {method!r}; expected one of {MEAN_METHODS}")
 
 
+def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
+    """Weights c_k of S_k f, k = 1, 2, ..., in the order-n mean times Q_n.
+
+    norlund: c_k = q_{n-k} for k <= n; tmean: c_k = q_k for k < n (the k = 0
+    term is the empty sum).
+    """
+    q = w.q_prefix(n)
+    return q[::-1] if w.mean_type == "norlund" else q[1:]
+
+
 def _mean_direct(f: StepFunction, w: WeightSequence, n: int, Qn: float) -> StepFunction:
     base = f.base
     coeffs = forward(f).coeffs
-    q = w.q_prefix(n)
-    running = np.zeros(base.size, dtype=np.complex128)
+    running = np.zeros(base.size, dtype=np.complex128)  # S_k f
     acc = np.zeros(base.size, dtype=np.complex128)
-    if w.mean_type == "norlund":
-        # sum_{k=1}^{n} q_{n-k} S_k f
-        for k in range(1, n + 1):
-            running += coeffs[k - 1] * character_values(base, k - 1)
-            acc += q[n - k] * running
-    else:
-        # sum_{k=1}^{n-1} q_k S_k f  (the k = 0 term is the empty sum)
-        for k in range(1, n):
-            running += coeffs[k - 1] * character_values(base, k - 1)
-            acc += q[k] * running
+    for k, c_k in enumerate(_partial_sum_weights(w, n), start=1):
+        running += coeffs[k - 1] * character_values(base, k - 1)
+        acc += c_k * running
     return StepFunction(base, acc / Qn)
 
 
 def _mean_abel(f: StepFunction, w: WeightSequence, n: int, Qn: float) -> StepFunction:
     base = f.base
     coeffs = forward(f).coeffs
-    q = w.q_prefix(n)
+    c = _partial_sum_weights(w, n)
+    # sum_k c_k S_k f = sum_j (c_j - c_{j+1}) * j * sigma_j f, with c past the end 0
+    d = c.copy()
+    d[:-1] -= c[1:]
     running = np.zeros(base.size, dtype=np.complex128)  # S_j f
     block = np.zeros(base.size, dtype=np.complex128)  # j * sigma_j f
     acc = np.zeros(base.size, dtype=np.complex128)
-    if w.mean_type == "norlund":
-        for j in range(1, n + 1):
-            running += coeffs[j - 1] * character_values(base, j - 1)
-            block += running
-            if j < n:
-                acc += (q[n - j] - q[n - j - 1]) * block
-            else:
-                acc += q[0] * block
-    else:
-        for j in range(1, n):
-            running += coeffs[j - 1] * character_values(base, j - 1)
-            block += running
-            if j < n - 1:
-                acc += (q[j] - q[j + 1]) * block
-            else:
-                acc += q[n - 1] * block
+    for j, d_j in enumerate(d, start=1):
+        running += coeffs[j - 1] * character_values(base, j - 1)
+        block += running
+        acc += d_j * block
     return StepFunction(base, acc / Qn)
 
 
@@ -437,6 +432,77 @@ def verify_block_kernel_split(w: WeightSequence, base: VilenkinBase, r: int) -> 
         t_kernel(w, base, m_r).values
     )
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def verify_dirichlet_integral(base: VilenkinBase) -> float:
+    """Largest |integral of D_n - 1| over every order 1 <= n <= M_N.
+
+    D_n is accumulated literally, one character per order, so the check does
+    not share the spectral synthesis of :func:`dirichlet`.
+    """
+    running = np.zeros(base.size, dtype=np.complex128)
+    worst = 0.0
+    for n in range(1, base.size + 1):
+        running += character_values(base, n - 1)
+        worst = max(worst, abs(running.mean() - 1.0))
+    return float(worst)
+
+
+def verify_abel_prefix_sum(w: WeightSequence, horizon: int) -> float:
+    """Largest relative residual of Q_n = q_0 n + sum_{i=1}^{n-1} (q_i - q_{i-1}) (n - i).
+
+    The scalar Abel rearrangement, over every order n <= horizon with
+    Q_n > 0; it holds for any sequence.
+    """
+    q = w.q_prefix(horizon)
+    Q = w.Q_prefix(horizon)
+    worst = 0.0
+    for n in range(1, horizon + 1):
+        if Q[n] <= 0:
+            continue
+        i = np.arange(1, n)
+        rebuilt = q[0] * n + float(np.sum((q[i] - q[i - 1]) * (n - i)))
+        worst = max(worst, abs(rebuilt - Q[n]) / Q[n])
+    return float(worst)
+
+
+def verify_kernel_abel(w: WeightSequence, base: VilenkinBase, n: int) -> float:
+    """Residual of F_n = (1/Q_n) (sum_{j<n} (q_{n-j} - q_{n-j-1}) j K_j + q_0 n K_n).
+
+    The Abel rearrangement at kernel level: the right side is rebuilt from
+    one :func:`fejer_kernel` table per order and compared with
+    :func:`norlund_kernel`.  Stated for norlund families only.
+    """
+    if w.mean_type != "norlund":
+        raise ValueError(f"kernel Abel identity needs a norlund family, got {w.kind}")
+    table = norlund_kernel(w, base, n)
+    q = w.q_prefix(n)
+    combo = np.zeros(base.size, dtype=np.complex128)
+    for j in range(1, n):
+        combo += (q[n - j] - q[n - j - 1]) * j * fejer_kernel(base, j).values
+    combo += q[0] * n * fejer_kernel(base, n).values
+    return float(np.max(np.abs(combo / w.Q(n) - table.values)))
+
+
+def verify_kernel_mass(w: WeightSequence, base: VilenkinBase, n: int) -> float:
+    """Residual of the integral of the family's order-n kernel against its mass.
+
+    Each D_k with k >= 1 has unit integral and D_0 = 0, so the norlund kernel
+    has mass 1 and the tmean kernel, which gives D_0 the weight q_0, has
+    mass 1 - q_0/Q_n.
+    """
+    table = kernel_for(w, base, n)
+    expected = 1.0 if w.mean_type == "norlund" else 1.0 - w.q(0) / w.Q(n)
+    return abs(table.integral() - expected)
+
+
+def verify_mean_paths(f: StepFunction, w: WeightSequence, n: int) -> float:
+    """Largest deviation of the kernel and Abel mean routes from the direct one."""
+    direct = mean(f, w, n, method="direct").values
+    return max(
+        float(np.max(np.abs(mean(f, w, n, method=method).values - direct)))
+        for method in ("kernel", "abel")
+    )
 
 
 def kernel_l1_profile(

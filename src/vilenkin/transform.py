@@ -46,6 +46,8 @@ class StepFunction:
                 f"expected {self.base.size} values for {self.base}, "
                 f"got shape {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite value in a step function on {self.base}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -88,6 +90,8 @@ class Spectrum:
                 f"expected {self.base.size} coefficients for {self.base}, "
                 f"got shape {coeffs.shape}"
             )
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"non-finite coefficient in a spectrum on {self.base}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -169,6 +173,17 @@ def character_block(base: VilenkinBase, start: int, stop: int) -> np.ndarray:
         # per-radix table of r_k^(a*b), gathered by the two digit vectors
         out *= _dft_matrix(m, +1)[n_k[:, None], x_k[None, :]]
     return out
+
+
+def verify_orthonormality(base: VilenkinBase) -> float:
+    """Largest deviation from the identity of the Gram matrix of psi_0 .. psi_{M_N-1}.
+
+    Built from the literal :func:`character_block`; it holds M_N^2 entries,
+    so callers bound M_N.
+    """
+    block = character_block(base, 0, base.size)
+    gram = block @ np.conj(block).T / base.size
+    return float(np.max(np.abs(gram - np.eye(base.size))))
 
 
 def _separable_apply(base: VilenkinBase, vec: np.ndarray, sign: int) -> np.ndarray:

@@ -21,25 +21,26 @@ from vilenkin.analysis import (
 from vilenkin.corpus import corpus
 from vilenkin.group import GroupPoint, VilenkinBase
 from vilenkin.summability import (
-    fejer_kernel,
-    kernel_for,
     kernel_l1_profile,
     kernel_tail,
     make_weights,
     mean,
-    norlund_kernel,
     partial_sum,
+    verify_abel_prefix_sum,
     verify_block_kernel_split,
     verify_dirichlet_complement,
+    verify_dirichlet_integral,
+    verify_kernel_abel,
+    verify_kernel_mass,
+    verify_mean_paths,
     weights_from_spec,
 )
 from vilenkin.transform import (
     StepFunction,
-    character_block,
-    character_values,
     forward,
     forward_naive,
     forward_naive_batch,
+    verify_orthonormality,
 )
 
 EXACT = 1e-12
@@ -102,11 +103,8 @@ def _growth_saturates(early: float, late: float) -> bool:
 
 
 def test_criterion_1_orthonormality():
-    worst = 0.0
-    for base in SMALL_BASES + (VilenkinBase.parse("2").with_depth(8),):
-        block = character_block(base, 0, base.size)
-        gram = block @ np.conj(block).T / base.size
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(base.size)))))
+    bases = SMALL_BASES + (VilenkinBase.parse("2").with_depth(8),)
+    worst = max(verify_orthonormality(base) for base in bases)
     ok = worst <= EXACT
     assert _line("criterion-1 orthonormality", ok, f"max deviation {worst:.3e}")
 
@@ -141,12 +139,7 @@ def _time_once(fn, arg) -> float:
 
 
 def test_criterion_3_dirichlet_unit_integral():
-    worst = 0.0
-    for base in SMALL_BASES + (WALSH512,):
-        running = np.zeros(base.size, dtype=np.complex128)
-        for n in range(1, base.size + 1):
-            running += character_values(base, n - 1)
-            worst = max(worst, abs(running.mean() - 1.0))
+    worst = max(verify_dirichlet_integral(base) for base in SMALL_BASES + (WALSH512,))
     ok = worst <= EXACT
     assert _line("criterion-3 dirichlet-integral", ok, f"max |integral - 1| = {worst:.3e}")
 
@@ -163,32 +156,15 @@ def test_criterion_4_dirichlet_complement_identity():
 
 def test_criterion_5_abel_identities():
     # scalar prefix-sum rebuild, every family, n <= 512, relative
-    worst_scalar = 0.0
-    for spec in ALL_FAMILIES:
-        w = weights_from_spec(spec)
-        q = w.q_prefix(512)
-        Q = w.Q_prefix(512)
-        for n in range(1, 513):
-            if Q[n] <= 0:
-                continue
-            i = np.arange(1, n)
-            rebuilt = q[0] * n + float(np.sum((q[i] - q[i - 1]) * (n - i)))
-            worst_scalar = max(worst_scalar, abs(rebuilt - Q[n]) / Q[n])
+    worst_scalar = max(verify_abel_prefix_sum(weights_from_spec(s), 512) for s in ALL_FAMILIES)
 
     # kernel-level rebuild from Fejer tables, sampled orders at depth 9
     worst_kernel = 0.0
     for spec in ("constant", "cesaro:0.5", "valpha:0.5", "norlund_log"):
         w = weights_from_spec(spec)
         for n in (2, 3, 5, 8, 16, 37, 128, 512):
-            if w.Q(n) <= 0:
-                continue
-            combo = np.zeros(WALSH512.size, dtype=np.complex128)
-            for j in range(1, n):
-                combo += (w.q(n - j) - w.q(n - j - 1)) * j * fejer_kernel(WALSH512, j).values
-            combo += w.q(0) * n * fejer_kernel(WALSH512, n).values
-            combo /= w.Q(n)
-            residual = np.max(np.abs(combo - norlund_kernel(w, WALSH512, n).values))
-            worst_kernel = max(worst_kernel, float(residual))
+            if w.Q(n) > 0:
+                worst_kernel = max(worst_kernel, verify_kernel_abel(w, WALSH512, n))
 
     # mean-level path agreement, all families, dense small grid plus n = 512
     worst_mean = 0.0
@@ -200,12 +176,8 @@ def test_criterion_5_abel_identities():
         grids = [(f_small, range(1, small.size + 1)), (f_big, (512,))]
         for f, orders in grids:
             for n in orders:
-                if w.Q(n) <= 0:
-                    continue
-                direct = mean(f, w, n, "direct").values
-                for method in ("kernel", "abel"):
-                    other = mean(f, w, n, method).values
-                    worst_mean = max(worst_mean, float(np.max(np.abs(other - direct))))
+                if w.Q(n) > 0:
+                    worst_mean = max(worst_mean, verify_mean_paths(f, w, n))
 
     ok = worst_scalar <= COMPOSED and worst_kernel <= COMPOSED and worst_mean <= COMPOSED
     assert _line(
@@ -227,8 +199,7 @@ def test_criterion_6_kernel_mass_boundedness_tails():
         profile = kernel_l1_profile(w, WALSH512, ns)
         values = [v for _, v in profile]
         for n in ns:
-            table = kernel_for(w, WALSH512, n)
-            mass_worst = max(mass_worst, abs(table.integral() - 1.0))
+            mass_worst = max(mass_worst, verify_kernel_mass(w, WALSH512, n))
         sup_report[spec] = max(values)
         slope_report[spec] = _ols_slope(ns, values)
         growth_report[spec] = _octave_growth(ns, values)

@@ -65,6 +65,10 @@ class TestNorms:
             lp_norm(f, 0.5)
         with pytest.raises(ValueError):
             weak_lp(f, 0.9)
+        with pytest.raises(ValueError):
+            lp_norm(f, math.nan)
+        with pytest.raises(ValueError):
+            weak_lp(f, math.nan)
 
 
 class TestLebesgueProfile:
@@ -253,6 +257,12 @@ class TestConvergenceSweep:
             for r in range(2, base.depth + 1)
         ]
         assert all(b < a for a, b in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("rank", [99, 12, -1])
+    def test_point_rank_outside_group_rejected(self, rank):
+        f = random_step(BASE232, 12)
+        with pytest.raises(ValueError, match=f"point rank {rank} outside"):
+            convergence_sweep(f, make_weights("constant"), [2], [1], [0, rank])
 
     def test_csv_layout(self):
         f = random_step(BASE232, 11)

@@ -85,6 +85,32 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert any(c["name"] == "dirichlet_integral" for c in report["checks"])
 
+    def test_check_names_and_order(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert cli.main(["verify", "--base", "2,3,2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        names = [c["name"] for c in json.loads(path.read_text())["checks"]]
+        assert names == [
+            "orthonormality", "fast_vs_naive", "round_trip", "parseval",
+            "convolution_direct_vs_spectral", "young_inequality",
+            "dirichlet_integral", "dirichlet_complement",
+            "abel_prefix_sum[constant]", "kernel_mass[constant]",
+            "kernel_abel_identity[constant]", "mean_path_agreement[constant]",
+            "block_kernel_split[constant]",
+            "abel_prefix_sum[cesaro:0.5]", "kernel_mass[cesaro:0.5]",
+            "kernel_abel_identity[cesaro:0.5]", "mean_path_agreement[cesaro:0.5]",
+            "block_kernel_split[cesaro:0.5]",
+            "abel_prefix_sum[valpha:0.5]", "kernel_mass[valpha:0.5]",
+            "kernel_abel_identity[valpha:0.5]", "mean_path_agreement[valpha:0.5]",
+            "block_kernel_split[valpha:0.5]",
+            "abel_prefix_sum[riesz_log]", "kernel_mass[riesz_log]",
+            "mean_path_agreement[riesz_log]",
+            "abel_prefix_sum[norlund_log]", "kernel_mass[norlund_log]",
+            "kernel_abel_identity[norlund_log]", "mean_path_agreement[norlund_log]",
+            "abel_prefix_sum[blog:0.5:1]", "kernel_mass[blog:0.5:1]",
+            "mean_path_agreement[blog:0.5:1]",
+        ]
+
     def test_tolerance_failure_sets_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "EXACT_TOL", -1.0)
         code = cli.main(["verify", "--base", "2,3"])
@@ -118,6 +144,18 @@ class TestConvergeCommand:
         code = cli.main(["converge", "--base", "2,3", "--n", "1..99"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--points", "99", "point rank 99 outside [0, 6)"),
+        ("--points", "-1", "point rank -1 outside [0, 6)"),
+        ("--p", "nan", "norm exponent must be >= 1 or inf, got nan"),
+    ], ids=["points-99", "points-minus-1", "p-nan"])
+    def test_bad_points_and_exponents(self, flag, value, message, capsys):
+        code = cli.main(["converge", "--base", "2,3", "--n", "1..2", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_huge_range_rejected_before_it_is_built(self):
         tracemalloc.start()

@@ -1,12 +1,15 @@
 """Weight families, kernels, means and the kernel identities."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from vilenkin import summability, transform
 from vilenkin.group import VilenkinBase
 from vilenkin.summability import (
+    WeightSequence,
     dirichlet,
     fejer_domination_constant,
     fejer_kernel,
@@ -18,11 +21,16 @@ from vilenkin.summability import (
     partial_sum,
     regularity_check,
     t_kernel,
+    verify_abel_prefix_sum,
     verify_block_kernel_split,
     verify_dirichlet_complement,
+    verify_dirichlet_integral,
+    verify_kernel_abel,
+    verify_kernel_mass,
+    verify_mean_paths,
     weights_from_spec,
 )
-from vilenkin.transform import StepFunction, character_values, forward
+from vilenkin.transform import StepFunction, character_values, forward, verify_orthonormality
 
 BASE23 = VilenkinBase.parse("2,3")
 BASE232 = VilenkinBase.parse("2,3,2")
@@ -325,13 +333,8 @@ class TestMeans:
         w = weights_from_spec(spec)
         f = random_step(BASE232, 6)
         for n in range(2, BASE232.size + 1):
-            if w.Q(n) <= 0:
-                continue
-            direct = mean(f, w, n, "direct").values
-            kernel = mean(f, w, n, "kernel").values
-            abel = mean(f, w, n, "abel").values
-            assert np.max(np.abs(direct - kernel)) <= COMPOSED
-            assert np.max(np.abs(direct - abel)) <= COMPOSED
+            if w.Q(n) > 0:
+                assert verify_mean_paths(f, w, n) <= COMPOSED
 
     def test_riesz_mean_matches_definition(self):
         # T aggregation with harmonic weights: (1/l_n) sum_{k<n} S_k f / k
@@ -369,31 +372,15 @@ class TestAbelIdentities:
     @pytest.mark.parametrize("spec", ALL_FAMILIES)
     def test_prefix_sum_rebuild(self, spec):
         # Q_n = sum_{j<n} (q_{n-j} - q_{n-j-1}) * j + q_0 * n, any sequence
-        w = weights_from_spec(spec)
-        q = w.q_prefix(512)
-        Q = w.Q_prefix(512)
-        idx = np.arange(1, 512)
-        for n in range(1, 513):
-            if Q[n] <= 0:
-                continue
-            i = idx[: n - 1]
-            rebuilt = q[0] * n + np.sum((q[i] - q[i - 1]) * (n - i))
-            assert abs(rebuilt - Q[n]) <= COMPOSED * Q[n]
+        assert verify_abel_prefix_sum(weights_from_spec(spec), 512) <= COMPOSED
 
     @pytest.mark.parametrize("spec", ("constant", "cesaro:0.5", "valpha:0.5", "norlund_log"))
     def test_kernel_rebuild_from_fejer(self, spec):
         # F_n = (1/Q_n) ( sum_j (q_{n-j} - q_{n-j-1}) j K_j + q_0 n K_n )
         w = weights_from_spec(spec)
         for n in (3, 7, 12):
-            if w.Q(n) <= 0:
-                continue
-            combo = np.zeros(BASE232.size, dtype=complex)
-            for j in range(1, n):
-                combo += (w.q(n - j) - w.q(n - j - 1)) * j * fejer_kernel(BASE232, j).values
-            combo += w.q(0) * n * fejer_kernel(BASE232, n).values
-            combo /= w.Q(n)
-            residual = np.max(np.abs(combo - norlund_kernel(w, BASE232, n).values))
-            assert residual <= COMPOSED
+            if w.Q(n) > 0:
+                assert verify_kernel_abel(w, BASE232, n) <= COMPOSED
 
 
 class TestComplementIdentity:
@@ -477,3 +464,64 @@ class TestFejerDomination:
         worst = max(fejer_domination_constant(base, n) for n in range(1, base.size + 1))
         assert math.isfinite(worst)
         assert worst <= 2.9
+
+
+# A fault of relative size 1e-6 in the route each shared residual function
+# checks must push the residual past its tolerance, so no check can pass by
+# construction.
+FAULT = 1 + 1e-6
+
+
+def _scaled_first_row(character_block):
+    def faulty(base, start, stop):
+        block = character_block(base, start, stop)
+        block[0] *= FAULT
+        return block
+
+    return faulty
+
+
+def _scaled_psi_0(character_values):
+    return lambda base, n: character_values(base, n) * (FAULT if n == 0 else 1.0)
+
+
+def _shifted_entry(Q_prefix):
+    def faulty(self, n):
+        Q = Q_prefix(self, n)
+        Q[n // 2] *= FAULT
+        return Q
+
+    return faulty
+
+
+def _scaled_table(make_table):
+    def faulty(*args):
+        table = make_table(*args)
+        return dataclasses.replace(table, values=table.values * FAULT)
+
+    return faulty
+
+
+def _scaled_result(fn):
+    return lambda *args: fn(*args) * FAULT
+
+
+@pytest.mark.parametrize("owner, name, fault, residual, tolerance", [
+    (transform, "character_block", _scaled_first_row,
+     lambda: verify_orthonormality(BASE232), EXACT),
+    (summability, "character_values", _scaled_psi_0,
+     lambda: verify_dirichlet_integral(BASE232), EXACT),
+    (WeightSequence, "Q_prefix", _shifted_entry,
+     lambda: verify_abel_prefix_sum(make_weights("cesaro", alpha=0.5), 64), COMPOSED),
+    (summability, "fejer_kernel", _scaled_table,
+     lambda: verify_kernel_abel(make_weights("valpha", alpha=0.5), BASE232, 7), COMPOSED),
+    (summability, "kernel_for", _scaled_table,
+     lambda: verify_kernel_mass(make_weights("blog", alpha=0.5, beta=1), BASE232, 7), EXACT),
+    (summability, "convolve_spectral", _scaled_result,
+     lambda: verify_mean_paths(random_step(BASE232, 12), make_weights("riesz_log"), 7), COMPOSED),
+], ids=["orthonormality", "dirichlet_integral", "abel_prefix_sum", "kernel_abel",
+        "kernel_mass", "mean_paths"])
+def test_shared_check_sees_a_fault(monkeypatch, owner, name, fault, residual, tolerance):
+    assert residual() <= tolerance
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    assert residual() > tolerance

@@ -24,6 +24,7 @@ from vilenkin.transform import (
     inverse,
     rademacher,
     read_complex_csv,
+    verify_orthonormality,
 )
 
 BASE232 = VilenkinBase.parse("2,3,2")
@@ -82,9 +83,7 @@ class TestCharacters:
 
     def test_orthonormality_exhaustive(self):
         for base in (BASE232, VilenkinBase.parse("3,3,3"), VilenkinBase.parse("2,2,2,2")):
-            block = character_block(base, 0, base.size)
-            gram = block @ np.conj(block).T / base.size
-            assert np.max(np.abs(gram - np.eye(base.size))) <= EXACT
+            assert verify_orthonormality(base) <= EXACT
 
     def test_range_error(self):
         with pytest.raises(ValueError):
@@ -274,6 +273,17 @@ class TestSerialization:
     def test_value_length_enforced(self):
         with pytest.raises(ValueError):
             StepFunction(BASE232, np.ones(5))
+
+    def test_non_finite_values_rejected(self):
+        base = VilenkinBase.parse("2,3")
+        with pytest.raises(ValueError, match="non-finite value"):
+            StepFunction(base, [np.nan, 1, 2, 3, 4, np.inf])
+        with pytest.raises(ValueError, match="non-finite value"):
+            StepFunction(base, np.full(base.size, complex(1.0, -np.inf)))
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            Spectrum(base, np.full(base.size, np.inf))
+        with pytest.raises(ValueError, match="non-finite value"):
+            random_step(base, 0) * np.inf
 
     @pytest.mark.parametrize("rows, message", [
         # repeated and negative indices: without the index check slots 1 and 2 stay unwritten
