@@ -18,7 +18,12 @@ so that the mean is convolution of f with its kernel.  D_0 is the empty sum
                         + q_0 * n * sigma_n f )
 
 where sigma_j is the Fejer mean; means are evaluated through all three
-routes (direct, kernel convolution, Abel).  The ``verify_*`` functions return
+routes (direct, kernel convolution, Abel).  The direct and Abel routes are
+one literal character stream: psi_{k-1}, S_k and k sigma_k are built once
+per k, and each requested (family, order) row, kept sorted by its number of
+weights, takes its k-th terms while it has them, so the live rows are a
+suffix.  ``mean`` runs it for one row; the mean-path and kernel Abel checks
+run it once for every family and order.  The ``verify_*`` functions return
 the residual of one identity each, with no tolerance: ``vilenkin verify`` and
 the test suite call the same functions and keep their own thresholds.
 """
@@ -343,16 +348,14 @@ def mean(f: StepFunction, w: WeightSequence, n: int, method: str = "direct") -> 
     base = f.base
     if not 1 <= n <= base.size:
         raise ValueError(f"mean order {n} outside [1, {base.size}]")
-    Qn = w.Q(n)
-    if Qn <= 0:
+    if w.Q(n) <= 0:
         raise ValueError(f"degenerate weights: Q_{n} = 0 for {w.kind}")
     if method == "kernel":
         return convolve_spectral(f, kernel_for(w, base, n).to_step())
-    if method == "direct":
-        return _mean_direct(f, w, n, Qn)
-    if method == "abel":
-        return _mean_abel(f, w, n, Qn)
-    raise ValueError(f"unknown method {method!r}; expected one of {MEAN_METHODS}")
+    if method not in MEAN_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {MEAN_METHODS}")
+    direct, abel = _abel_accumulate(base, forward(f).coeffs, [(w, n)])
+    return StepFunction(base, direct[0] if method == "direct" else abel[0])
 
 
 def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
@@ -365,51 +368,71 @@ def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
     return q[::-1] if w.mean_type == "norlund" else q[1:]
 
 
-def _mean_direct(f: StepFunction, w: WeightSequence, n: int, Qn: float) -> StepFunction:
-    base = f.base
-    coeffs = forward(f).coeffs
-    running = np.zeros(base.size, dtype=np.complex128)  # S_k f
-    acc = np.zeros(base.size, dtype=np.complex128)
-    for k, c_k in enumerate(_partial_sum_weights(w, n), start=1):
-        running += coeffs[k - 1] * character_values(base, k - 1)
-        acc += c_k * running
-    return StepFunction(base, acc / Qn)
+def _abel_accumulate(base: VilenkinBase, coeffs: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The direct and the Abel order-n means of the spectrum ``coeffs``, one row per (w, n).
 
-
-def _mean_abel(f: StepFunction, w: WeightSequence, n: int, Qn: float) -> StepFunction:
-    base = f.base
-    coeffs = forward(f).coeffs
-    c = _partial_sum_weights(w, n)
+    One literal character stream serves every row: psi_{k-1} is built once
+    for k = 1, 2, ..., and so are S_k = sum_{j<k} coeffs[j] psi_j and
+    k sigma_k = sum_{j<=k} S_j.  Each row with a k-th weight adds c_k S_k
+    (direct) and d_k k sigma_k (Abel).  The rows are kept sorted by their
+    number of weights, so those rows are a suffix, and each row's arithmetic
+    and its order are those of a stream over that row alone.
+    """
+    weights = [_partial_sum_weights(w, n) for w, n in rows]
+    sizes = np.array([len(c) for c in weights], dtype=int)
+    order = np.argsort(sizes, kind="stable")
+    lengths = sizes[order]
+    # complex weights: one product per row, with no cast inside the stream
+    c = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.complex128)
+    for slot, i in enumerate(order):
+        c[slot, : lengths[slot]] = weights[i]
     # sum_k c_k S_k f = sum_j (c_j - c_{j+1}) * j * sigma_j f, with c past the end 0
     d = c.copy()
-    d[:-1] -= c[1:]
-    running = np.zeros(base.size, dtype=np.complex128)  # S_j f
-    block = np.zeros(base.size, dtype=np.complex128)  # j * sigma_j f
-    acc = np.zeros(base.size, dtype=np.complex128)
-    for j, d_j in enumerate(d, start=1):
-        running += coeffs[j - 1] * character_values(base, j - 1)
+    d[:, :-1] -= c[:, 1:]
+    running = np.zeros(base.size, dtype=np.complex128)  # S_k f
+    block = np.zeros(base.size, dtype=np.complex128)  # k * sigma_k f
+    direct = np.zeros((len(rows), base.size), dtype=np.complex128)
+    abel = np.zeros_like(direct)
+    for k in range(1, c.shape[1] + 1):
+        live = np.searchsorted(lengths, k)  # the first row with a k-th weight
+        running += coeffs[k - 1] * character_values(base, k - 1)
         block += running
-        acc += d_j * block
-    return StepFunction(base, acc / Qn)
+        direct[live:] += c[live:, k - 1, None] * running
+        abel[live:] += d[live:, k - 1, None] * block
+    back = np.argsort(order)
+    q_n = np.array([w.Q(n) for w, n in rows])[:, None]
+    return direct[back] / q_n, abel[back] / q_n
 
 
-def verify_dirichlet_complement(base: VilenkinBase, r: int, j: int) -> float:
-    """Residual of D_{M_r - j} = D_{M_r} - psi_{M_r - 1} * conj(D_j).
+def _live_rows(families, orders) -> list[tuple[int, WeightSequence, int]]:
+    """(family index, w, n) for every order with Q_n > 0: the rows of one stream."""
+    return [(i, w, n) for i, w in enumerate(families) for n in orders if w.Q(n) > 0]
+
+
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def verify_dirichlet_complement(base: VilenkinBase, r: int, offsets) -> float:
+    """Largest residual of D_{M_r - j} = D_{M_r} - psi_{M_r - 1} * conj(D_j) over the offsets j.
 
     Exact for 0 <= j < M_r because the top M_r - j characters are the
-    digitwise complements of the bottom j.  Returns the max pointwise
-    deviation over the group.
+    digitwise complements of the bottom j.  Each residual is the max
+    pointwise deviation over the group; each distinct D_n is synthesized once.
     """
     if not 0 <= r <= base.depth:
         raise ValueError(f"block level {r} outside [0, {base.depth}]")
     m_r = base.cumprod[r]
-    if not 0 <= j < m_r:
-        raise ValueError(f"offset {j} outside [0, {m_r})")
-    lhs = _dirichlet_values(base, m_r - j)
-    rhs = _dirichlet_values(base, m_r) - character_values(base, m_r - 1) * np.conj(
-        _dirichlet_values(base, j)
+    offsets = [int(j) for j in offsets]
+    for j in offsets:
+        if not 0 <= j < m_r:
+            raise ValueError(f"offset {j} outside [0, {m_r})")
+    tables = {n: _dirichlet_values(base, n) for n in {m_r, *offsets, *(m_r - j for j in offsets)}}
+    psi = character_values(base, m_r - 1)
+    return max(
+        (_deviation(tables[m_r - j], tables[m_r] - psi * np.conj(tables[j])) for j in offsets),
+        default=0.0,
     )
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def verify_block_kernel_split(w: WeightSequence, base: VilenkinBase, r: int) -> float:
@@ -466,22 +489,25 @@ def verify_abel_prefix_sum(w: WeightSequence, horizon: int) -> float:
     return float(worst)
 
 
-def verify_kernel_abel(w: WeightSequence, base: VilenkinBase, n: int) -> float:
-    """Residual of F_n = (1/Q_n) (sum_{j<n} (q_{n-j} - q_{n-j-1}) j K_j + q_0 n K_n).
+def verify_kernel_abel(families, base: VilenkinBase, orders) -> list[float]:
+    """Per family, the largest residual of the kernel-level Abel rearrangement
 
-    The Abel rearrangement at kernel level: the right side is rebuilt from
-    one :func:`fejer_kernel` table per order and compared with
-    :func:`norlund_kernel`.  Stated for norlund families only.
+        F_n = (1/Q_n) (sum_{j<n} (q_{n-j} - q_{n-j-1}) j K_j + q_0 n K_n)
+
+    over the orders with Q_n > 0.  The right side is the Abel route of the
+    character stream on the coefficients 1, where S_k = D_k and
+    sum_{j<=k} D_j = k K_k, so it is a literal character sum; it is compared
+    with :func:`norlund_kernel`.  Stated for norlund families only.
     """
-    if w.mean_type != "norlund":
-        raise ValueError(f"kernel Abel identity needs a norlund family, got {w.kind}")
-    table = norlund_kernel(w, base, n)
-    q = w.q_prefix(n)
-    combo = np.zeros(base.size, dtype=np.complex128)
-    for j in range(1, n):
-        combo += (q[n - j] - q[n - j - 1]) * j * fejer_kernel(base, j).values
-    combo += q[0] * n * fejer_kernel(base, n).values
-    return float(np.max(np.abs(combo / w.Q(n) - table.values)))
+    for w in families:
+        if w.mean_type != "norlund":
+            raise ValueError(f"kernel Abel identity needs a norlund family, got {w.kind}")
+    live = _live_rows(families, orders)
+    _, abel = _abel_accumulate(base, np.ones(base.size), [(w, n) for _, w, n in live])
+    worst = [0.0] * len(families)
+    for (i, w, n), rebuilt in zip(live, abel):
+        worst[i] = max(worst[i], _deviation(rebuilt, norlund_kernel(w, base, n).values))
+    return worst
 
 
 def verify_kernel_mass(w: WeightSequence, base: VilenkinBase, n: int) -> float:
@@ -496,13 +522,25 @@ def verify_kernel_mass(w: WeightSequence, base: VilenkinBase, n: int) -> float:
     return abs(table.integral() - expected)
 
 
-def verify_mean_paths(f: StepFunction, w: WeightSequence, n: int) -> float:
-    """Largest deviation of the kernel and Abel mean routes from the direct one."""
-    direct = mean(f, w, n, method="direct").values
-    return max(
-        float(np.max(np.abs(mean(f, w, n, method=method).values - direct)))
-        for method in ("kernel", "abel")
-    )
+def verify_mean_paths(f: StepFunction, families, orders) -> list[float]:
+    """Per family, the largest deviation of the kernel and Abel mean routes from the direct one.
+
+    Every order with Q_n > 0 is checked.  The direct and Abel means of all
+    families and orders come from one character stream over f's spectrum.
+    At each family's first such order, the public one-order direct and Abel
+    routes of :func:`mean` are also held against their rows of the stream.
+    """
+    live = _live_rows(families, orders)
+    direct, abel = _abel_accumulate(f.base, forward(f).coeffs, [(w, n) for _, w, n in live])
+    worst = [0.0] * len(families)
+    seen = set()
+    for (i, w, n), exact, rebuilt in zip(live, direct, abel):
+        pairs = [(mean(f, w, n, method="kernel").values, exact), (rebuilt, exact)]
+        if i not in seen:
+            seen.add(i)
+            pairs += [(mean(f, w, n, "direct").values, exact), (mean(f, w, n, "abel").values, rebuilt)]
+        worst[i] = max(worst[i], *(_deviation(a, b) for a, b in pairs))
+    return worst
 
 
 def kernel_l1_profile(

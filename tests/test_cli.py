@@ -10,7 +10,7 @@ from vilenkin import cli
 from vilenkin.analysis import lp_norm
 from vilenkin.corpus import corpus
 from vilenkin.group import VilenkinBase
-from vilenkin.summability import norlund_kernel, weights_from_spec
+from vilenkin.summability import fejer_kernel, norlund_kernel, weights_from_spec
 from vilenkin.transform import character_values
 
 BASE232 = VilenkinBase.parse("2,3,2")
@@ -221,16 +221,32 @@ class TestKernelDumpCommand:
 class TestConfigAndUsage:
     def test_config_file_supplies_defaults_flags_win(self, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
-        config.write_text("base=2,3\nn=1..3\ncorpus=constant\n")
-        out_path = tmp_path / "out.csv"
-        code = cli.main([
-            "converge", "--config", str(config), "--n", "1..2", "--out", str(out_path),
-        ])
+        config.write_text("base=2,3\nn=1..3\ncorpus=random\nseed=7\n")
+
+        def converge(name, *flags):
+            out_path = tmp_path / name
+            assert cli.main(["converge", *flags, "--out", str(out_path)]) == 0
+            return out_path.read_text()
+
+        got = converge("config.csv", "--config", str(config), "--n", "1..2")
         capsys.readouterr()
-        assert code == 0
-        body = out_path.read_text().splitlines()[1:]
+        body = got.splitlines()[1:]
         orders = {line.split(",")[1] for line in body}
         assert orders == {"1", "2"}  # flag overrode the config's 1..3
+        # base, corpus and seed come from the config: no flag sets them
+        flags = ("--corpus", "random", "--seed", "7", "--n", "1..2")
+        assert got == converge("flags.csv", "--base", "2,3", *flags)
+        assert got != converge("default-base.csv", *flags)
+
+    def test_config_file_sets_kernel_dump(self, tmp_path, capsys):
+        config = tmp_path / "dump.cfg"
+        config.write_text("base=2,3\nkind=fejer\norder=4\n")
+        path = tmp_path / "k.csv"
+        assert cli.main(["kernel-dump", "--config", str(config), "--out", str(path)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        got = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+        np.testing.assert_array_equal(got, fejer_kernel(VilenkinBase.parse("2,3"), 4).values)
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -332,9 +332,8 @@ class TestMeans:
     def test_three_paths_agree_random(self, spec):
         w = weights_from_spec(spec)
         f = random_step(BASE232, 6)
-        for n in range(2, BASE232.size + 1):
-            if w.Q(n) > 0:
-                assert verify_mean_paths(f, w, n) <= COMPOSED
+        (worst,) = verify_mean_paths(f, [w], range(2, BASE232.size + 1))
+        assert worst <= COMPOSED
 
     def test_riesz_mean_matches_definition(self):
         # T aggregation with harmonic weights: (1/l_n) sum_{k<n} S_k f / k
@@ -360,6 +359,25 @@ class TestMeans:
         oracle /= l_n
         np.testing.assert_allclose(mean(f, w, n, "direct").values, oracle, atol=EXACT)
 
+    def test_path_batch_equals_one_order_calls(self):
+        # each row's arithmetic is that of a stream over it alone
+        base = VilenkinBase.parse("2,3,2,2")
+        f = random_step(base, 10)
+        families = [weights_from_spec(spec) for spec in ALL_FAMILIES]
+        orders = range(1, base.size + 1)
+        alone = [max(verify_mean_paths(f, [w], [n])[0] for n in orders) for w in families]
+        assert verify_mean_paths(f, families, orders) == alone
+
+    def test_direct_and_abel_one_row_streams(self):
+        # mean(method=...) is a stream of one row: the same bytes as in a batch
+        f = random_step(BASE232, 11)
+        families = [weights_from_spec(spec) for spec in ALL_FAMILIES]
+        rows = [(w, n) for w in families for n in (2, 5, 12) if w.Q(n) > 0]
+        direct, abel = summability._abel_accumulate(BASE232, forward(f).coeffs, rows)
+        for (w, n), direct_row, abel_row in zip(rows, direct, abel):
+            assert np.array_equal(mean(f, w, n, "direct").values, direct_row)
+            assert np.array_equal(mean(f, w, n, "abel").values, abel_row)
+
     def test_degenerate_and_bad_method(self):
         f = random_step(BASE232, 9)
         with pytest.raises(ValueError):
@@ -377,29 +395,43 @@ class TestAbelIdentities:
     @pytest.mark.parametrize("spec", ("constant", "cesaro:0.5", "valpha:0.5", "norlund_log"))
     def test_kernel_rebuild_from_fejer(self, spec):
         # F_n = (1/Q_n) ( sum_j (q_{n-j} - q_{n-j-1}) j K_j + q_0 n K_n )
-        w = weights_from_spec(spec)
-        for n in (3, 7, 12):
-            if w.Q(n) > 0:
-                assert verify_kernel_abel(w, BASE232, n) <= COMPOSED
+        (worst,) = verify_kernel_abel([weights_from_spec(spec)], BASE232, (3, 7, 12))
+        assert worst <= COMPOSED
+
+    def test_kernel_rebuild_needs_norlund_family(self):
+        with pytest.raises(ValueError):
+            verify_kernel_abel([make_weights("constant"), make_weights("riesz_log")], BASE232, (3,))
+
+    def test_batch_equals_one_order_calls(self):
+        # each row's arithmetic is that of a stream over it alone
+        families = [weights_from_spec(s) for s in ("constant", "cesaro:0.5", "valpha:0.5", "norlund_log")]
+        orders = (3, 7, 12)
+        alone = [max(verify_kernel_abel([w], BASE232, [n])[0] for n in orders) for w in families]
+        assert verify_kernel_abel(families, BASE232, orders) == alone
 
 
 class TestComplementIdentity:
     def test_zero_offset_is_exact(self):
         for r in range(BASE232.depth + 1):
-            assert verify_dirichlet_complement(BASE232, r, 0) <= EXACT
+            assert verify_dirichlet_complement(BASE232, r, [0]) <= EXACT
 
     def test_exhaustive_base23(self):
         base = BASE23
-        for j in range(base.cumprod[2]):
-            assert verify_dirichlet_complement(base, 2, j) <= EXACT
+        assert verify_dirichlet_complement(base, 2, range(base.cumprod[2])) <= EXACT
 
     def test_walsh_case(self):
         base = VilenkinBase.parse("2,2,2")
-        assert verify_dirichlet_complement(base, 3, 3) <= EXACT
+        assert verify_dirichlet_complement(base, 3, [3]) <= EXACT
 
     def test_offset_validation(self):
         with pytest.raises(ValueError):
-            verify_dirichlet_complement(BASE232, 1, 2)
+            verify_dirichlet_complement(BASE232, 1, [0, 2])
+
+    def test_levels_equal_one_offset_calls(self):
+        for r in range(BASE232.depth + 1):
+            offsets = range(BASE232.cumprod[r])
+            alone = max(verify_dirichlet_complement(BASE232, r, [j]) for j in offsets)
+            assert verify_dirichlet_complement(BASE232, r, offsets) == alone
 
 
 class TestBlockKernelSplit:
@@ -513,14 +545,18 @@ def _scaled_result(fn):
      lambda: verify_dirichlet_integral(BASE232), EXACT),
     (WeightSequence, "Q_prefix", _shifted_entry,
      lambda: verify_abel_prefix_sum(make_weights("cesaro", alpha=0.5), 64), COMPOSED),
-    (summability, "fejer_kernel", _scaled_table,
-     lambda: verify_kernel_abel(make_weights("valpha", alpha=0.5), BASE232, 7), COMPOSED),
+    (summability, "norlund_kernel", _scaled_table,
+     lambda: verify_kernel_abel([make_weights("valpha", alpha=0.5)], BASE232, [7])[0], COMPOSED),
     (summability, "kernel_for", _scaled_table,
      lambda: verify_kernel_mass(make_weights("blog", alpha=0.5, beta=1), BASE232, 7), EXACT),
     (summability, "convolve_spectral", _scaled_result,
-     lambda: verify_mean_paths(random_step(BASE232, 12), make_weights("riesz_log"), 7), COMPOSED),
+     lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
+     COMPOSED),
+    (summability, "character_values", _scaled_psi_0,
+     lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
+     COMPOSED),
 ], ids=["orthonormality", "dirichlet_integral", "abel_prefix_sum", "kernel_abel",
-        "kernel_mass", "mean_paths"])
+        "kernel_mass", "mean_paths", "mean_paths_stream"])
 def test_shared_check_sees_a_fault(monkeypatch, owner, name, fault, residual, tolerance):
     assert residual() <= tolerance
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
