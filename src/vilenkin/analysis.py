@@ -19,12 +19,18 @@ from .transform import StepFunction, character_values, forward
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
-    """||f||_p with ||f||_p^p = (1/M_N) sum |f|^p; p = inf is the max."""
-    if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+    """||f||_p with ||f||_p^p = (1/M_N) sum |f|^p; p = inf is the max.
+
+    A finite p is evaluated on g = |f| / max|f| as max|f| * ||g||_p, so that
+    the powers can neither underflow nor overflow at large p.
+    """
     if not p >= 1:  # also rejects nan
         raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    magnitudes = np.abs(f.values)
+    top = float(np.max(magnitudes))
+    if p == math.inf or top == 0.0:
+        return top
+    return float(top * np.mean((magnitudes / top) ** p) ** (1.0 / p))
 
 
 def weak_lp(f: StepFunction, p: float) -> float:

@@ -108,7 +108,10 @@ def _resolve_base(args) -> VilenkinBase:
 
 
 def _weight_list(text: str) -> list[WeightSequence]:
-    return [weights_from_spec(token) for token in text.split(",") if token.strip()]
+    families = [weights_from_spec(token) for token in text.split(",") if token.strip()]
+    if not families:
+        raise ValueError(f"--weights {text!r} names no weight family")
+    return families
 
 
 def _open_out(args):

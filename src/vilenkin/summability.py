@@ -12,13 +12,20 @@ with matching kernels
     F_n^inv  = (1/Q_n) * sum_{k=0}^{n-1} q_k     * D_k
 
 so that the mean is convolution of f with its kernel.  D_0 is the empty sum
-(identically 0).  The Abel rearrangement gives the alternate evaluation
+(identically 0).  Every such kernel and mean is one spectral multiplier:
+``_profile`` gives the coefficients of psi_0 .. psi_{n-1} (1 for D_n,
+(n-j)/n for K_n, Q_{n-j}/Q_n for F_n, (Q_n - Q_{j+1})/Q_n for F_n^inv), and
+``_multiply`` scales a spectrum by them and makes the one inverse transform.
+A kernel is the profile on the unit spectrum; the "kernel" route of ``mean``
+and ``partial_sum`` put it on f's spectrum, one forward and one inverse
+transform, with no kernel table in between.  The Abel rearrangement gives
+the alternate evaluation
 
     t_n f = (1/Q_n) * ( sum_{j=1}^{n-1} (q_{n-j} - q_{n-j-1}) * j * sigma_j f
                         + q_0 * n * sigma_n f )
 
 where sigma_j is the Fejer mean; means are evaluated through all three
-routes (direct, kernel convolution, Abel).  The direct and Abel routes are
+routes (direct, kernel multiplier, Abel).  The direct and Abel routes are
 one literal character stream: psi_{k-1}, S_k and k sigma_k are built once
 per k, and each requested (family, order) row, kept sorted by its number of
 weights, takes its k-th terms while it has them, so the live rows are a
@@ -36,15 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import VilenkinBase, coset_members, order_stats
-from .transform import (
-    Spectrum,
-    StepFunction,
-    character_values,
-    convolve_spectral,
-    forward,
-    inverse,
-    write_complex_csv,
-)
+from .transform import Spectrum, StepFunction, character_values, forward, inverse
 
 WEIGHT_KINDS = ("constant", "cesaro", "valpha", "riesz_log", "norlund_log", "blog")
 
@@ -241,98 +240,79 @@ def regularity_check(w: WeightSequence, horizon: int) -> RegularityReport:
     )
 
 
-@dataclass(frozen=True)
-class KernelTable:
-    """Sampled kernel values at resolution N."""
-
-    base: VilenkinBase
-    n: int
-    kind: str  # dirichlet | fejer | norlund | tmean
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.complex128)
-        if values.shape != (self.base.size,):
-            raise ValueError(f"expected {self.base.size} kernel values")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def integral(self) -> complex:
-        return complex(self.values.mean())
-
-    def to_step(self) -> StepFunction:
-        return StepFunction(self.base, self.values)
-
-    def to_csv(self, path) -> None:
-        write_complex_csv(path, "rank", self.values)
-
-
 def _check_order(base: VilenkinBase, n: int) -> None:
     if not 1 <= n <= base.size:
         raise ValueError(f"kernel order {n} outside [1, {base.size}]")
 
 
-def _dirichlet_values(base: VilenkinBase, n: int) -> np.ndarray:
-    # n = 0 is the empty sum; used internally by the identity verifiers.
-    coeffs = np.zeros(base.size, dtype=np.complex128)
-    coeffs[:n] = 1.0
-    return inverse(Spectrum(base, coeffs)).values
+def _profile(kind: str, w: WeightSequence | None, n: int) -> np.ndarray:
+    """Coefficients of psi_0 .. psi_{n-1} in the order-n kernel of ``kind``.
+
+    dirichlet 1, fejer (n-j)/n, norlund Q_{n-j}/Q_n, tmean (Q_n - Q_{j+1})/Q_n;
+    every other character has coefficient 0.  n = 0 gives the empty profile.
+    """
+    if kind == "dirichlet":
+        return np.ones(n)
+    if kind == "fejer":
+        return (n - np.arange(n)) / n
+    if kind not in ("norlund", "tmean"):
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    Q = w.Q_prefix(n)
+    if Q[n] <= 0:
+        raise ValueError(f"degenerate weights: Q_{n} = 0 for {w.kind}")
+    return (Q[n:0:-1] if kind == "norlund" else Q[n] - Q[1:]) / Q[n]
 
 
-def dirichlet(base: VilenkinBase, n: int) -> KernelTable:
+def _multiply(base: VilenkinBase, coeffs: np.ndarray, p: np.ndarray) -> StepFunction:
+    """The one synthesis: the spectrum ``coeffs[:len(p)] * p``, zero above, inverted.
+
+    A kernel is the multiplier applied to the unit spectrum (coefficients 1),
+    a mean or partial sum the multiplier applied to f's spectrum.
+    """
+    product = np.zeros(base.size, dtype=np.complex128)
+    product[: len(p)] = coeffs[: len(p)] * p
+    return inverse(Spectrum(base, product))
+
+
+def dirichlet(base: VilenkinBase, n: int) -> StepFunction:
     """D_n = sum_{k<n} psi_k, synthesized from its 0/1 spectral profile."""
     _check_order(base, n)
-    return KernelTable(base, n, "dirichlet", _dirichlet_values(base, n))
+    return _multiply(base, np.ones(n), _profile("dirichlet", None, n))
 
 
-def fejer_kernel(base: VilenkinBase, n: int) -> KernelTable:
+def fejer_kernel(base: VilenkinBase, n: int) -> StepFunction:
     """K_n = (1/n) sum_{k=1}^n D_k, spectral profile (n-j)/n for j < n."""
     _check_order(base, n)
-    coeffs = np.zeros(base.size, dtype=np.complex128)
-    coeffs[:n] = (n - np.arange(n)) / n
-    return KernelTable(base, n, "fejer", inverse(Spectrum(base, coeffs)).values)
+    return _multiply(base, np.ones(n), _profile("fejer", None, n))
 
 
-def norlund_kernel(w: WeightSequence, base: VilenkinBase, n: int) -> KernelTable:
+def norlund_kernel(w: WeightSequence, base: VilenkinBase, n: int) -> StepFunction:
     """F_n = (1/Q_n) sum_{k=1}^n q_{n-k} D_k.
 
     Collecting the coefficient of each character gives the equivalent
     spectral profile Q_{n-j}/Q_n for j < n, synthesized in one pass.
     """
     _check_order(base, n)
-    Q = w.Q_prefix(n)
-    if Q[n] <= 0:
-        raise ValueError(f"degenerate weights: Q_{n} = 0 for {w.kind}")
-    coeffs = np.zeros(base.size, dtype=np.complex128)
-    coeffs[:n] = Q[n:0:-1] / Q[n]
-    return KernelTable(base, n, "norlund", inverse(Spectrum(base, coeffs)).values)
+    return _multiply(base, np.ones(n), _profile("norlund", w, n))
 
 
-def t_kernel(w: WeightSequence, base: VilenkinBase, n: int) -> KernelTable:
+def t_kernel(w: WeightSequence, base: VilenkinBase, n: int) -> StepFunction:
     """F_n^inv = (1/Q_n) sum_{k=0}^{n-1} q_k D_k, profile (Q_n - Q_{j+1})/Q_n."""
     _check_order(base, n)
-    Q = w.Q_prefix(n)
-    if Q[n] <= 0:
-        raise ValueError(f"degenerate weights: Q_{n} = 0 for {w.kind}")
-    coeffs = np.zeros(base.size, dtype=np.complex128)
-    coeffs[: n - 1] = (Q[n] - Q[1:n]) / Q[n]
-    return KernelTable(base, n, "tmean", inverse(Spectrum(base, coeffs)).values)
+    return _multiply(base, np.ones(n), _profile("tmean", w, n))
 
 
-def kernel_for(w: WeightSequence, base: VilenkinBase, n: int) -> KernelTable:
+def kernel_for(w: WeightSequence, base: VilenkinBase, n: int) -> StepFunction:
     """The kernel matching the family's aggregation shape."""
-    if w.mean_type == "norlund":
-        return norlund_kernel(w, base, n)
-    return t_kernel(w, base, n)
+    _check_order(base, n)
+    return _multiply(base, np.ones(n), _profile(w.mean_type, w, n))
 
 
 def partial_sum(f: StepFunction, n: int) -> StepFunction:
-    """S_n f = sum_{k<n} coeffs[k] psi_k, by spectral truncation."""
+    """S_n f = sum_{k<n} coeffs[k] psi_k: f's spectrum under the Dirichlet profile."""
     if not 0 <= n <= f.base.size:
         raise ValueError(f"partial-sum order {n} outside [0, {f.base.size}]")
-    coeffs = forward(f).coeffs.copy()
-    coeffs[n:] = 0.0
-    return inverse(Spectrum(f.base, coeffs))
+    return _multiply(f.base, forward(f).coeffs, _profile("dirichlet", None, n))
 
 
 MEAN_METHODS = ("direct", "kernel", "abel")
@@ -342,8 +322,9 @@ def mean(f: StepFunction, w: WeightSequence, n: int, method: str = "direct") -> 
     """The weighted mean of order n of f under the family w.
 
     ``method`` selects the evaluation route: "direct" accumulates partial
-    sums, "kernel" convolves with the matching kernel table, "abel" uses the
-    rearrangement through Fejer means.  All routes agree up to roundoff.
+    sums, "kernel" multiplies f's spectrum by the kernel's profile, "abel"
+    uses the rearrangement through Fejer means.  All routes agree up to
+    roundoff.
     """
     base = f.base
     if not 1 <= n <= base.size:
@@ -351,7 +332,7 @@ def mean(f: StepFunction, w: WeightSequence, n: int, method: str = "direct") -> 
     if w.Q(n) <= 0:
         raise ValueError(f"degenerate weights: Q_{n} = 0 for {w.kind}")
     if method == "kernel":
-        return convolve_spectral(f, kernel_for(w, base, n).to_step())
+        return _multiply(base, forward(f).coeffs, _profile(w.mean_type, w, n))
     if method not in MEAN_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {MEAN_METHODS}")
     direct, abel = _abel_accumulate(base, forward(f).coeffs, [(w, n)])
@@ -427,7 +408,10 @@ def verify_dirichlet_complement(base: VilenkinBase, r: int, offsets) -> float:
     for j in offsets:
         if not 0 <= j < m_r:
             raise ValueError(f"offset {j} outside [0, {m_r})")
-    tables = {n: _dirichlet_values(base, n) for n in {m_r, *offsets, *(m_r - j for j in offsets)}}
+    tables = {
+        n: _multiply(base, np.ones(n), _profile("dirichlet", None, n)).values
+        for n in {m_r, *offsets, *(m_r - j for j in offsets)}
+    }
     psi = character_values(base, m_r - 1)
     return max(
         (_deviation(tables[m_r - j], tables[m_r] - psi * np.conj(tables[j])) for j in offsets),
@@ -451,7 +435,8 @@ def verify_block_kernel_split(w: WeightSequence, base: VilenkinBase, r: int) -> 
         raise ValueError(f"block level {r} outside [1, {base.depth}]")
     m_r = base.cumprod[r]
     lhs = norlund_kernel(w, base, m_r).values
-    rhs = _dirichlet_values(base, m_r) - character_values(base, m_r - 1) * np.conj(
+    d_m = _multiply(base, np.ones(m_r), _profile("dirichlet", None, m_r)).values
+    rhs = d_m - character_values(base, m_r - 1) * np.conj(
         t_kernel(w, base, m_r).values
     )
     return float(np.max(np.abs(lhs - rhs)))

@@ -48,6 +48,23 @@ class TestNorms:
         for r in range(BASE232.depth + 1):
             assert lp_norm(spike(BASE232, r), 1) == pytest.approx(1.0, abs=EXACT)
 
+    @pytest.mark.parametrize("p", [1, 2, 120, 1e4])
+    def test_constants_at_large_exponents(self, p):
+        # |f|^p underflows (1e-3) or overflows (1e10) long before p = 1e4
+        for c in (1e-3, 1.0, 1e10):
+            f = StepFunction(VilenkinBase.parse("2", 8), np.full(256, c))
+            assert lp_norm(f, p) == pytest.approx(c, rel=EXACT)
+        assert lp_norm(StepFunction(BASE232, np.zeros(BASE232.size)), p) == 0.0
+
+    def test_no_overflow_below_the_max(self):
+        f = StepFunction(BASE232, np.full(BASE232.size, 1e10))
+        assert lp_norm(f, 40) == pytest.approx(1e10, rel=EXACT)
+        # the spike of height M_r on a set of measure 1/M_r
+        for r in range(1, BASE232.depth + 1):
+            m_r = BASE232.cumprod[r]
+            expected = m_r * m_r ** (-1 / 120)
+            assert lp_norm(spike(BASE232, r), 120) == pytest.approx(expected, rel=EXACT)
+
     def test_weak_below_strong(self):
         for seed in range(100):
             f = random_step(BASE232, seed)

@@ -268,6 +268,13 @@ class TestConfigAndUsage:
         code = cli.main(["converge", "--base", "2,3", "--weights", "cesaro:2.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("weights", [",", "", " , "])
+    def test_verify_needs_a_weight_family(self, weights, capsys):
+        assert cli.main(["verify", "--base", "2", "--depth", "3", "--weights", weights]) == 2
+        captured = capsys.readouterr()
+        assert "names no weight family" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("spec", ["blog:inf:1", "blog:nan:1"])
     def test_non_finite_weight_parameter(self, spec, capsys):
         argv = ["converge", "--base", "2", "--depth", "4", "--weights", spec, "--n", "3..4"]

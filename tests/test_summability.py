@@ -13,6 +13,7 @@ from vilenkin.summability import (
     dirichlet,
     fejer_domination_constant,
     fejer_kernel,
+    kernel_for,
     kernel_l1_profile,
     kernel_tail,
     make_weights,
@@ -294,7 +295,7 @@ class TestPartialSums:
 
         f = random_step(BASE232, 3)
         for n in (1, 5, 12):
-            via_kernel = convolve(f, dirichlet(BASE232, n).to_step())
+            via_kernel = convolve(f, dirichlet(BASE232, n))
             assert np.max(np.abs(partial_sum(f, n).values - via_kernel.values)) <= COMPOSED
 
     def test_range_validation(self):
@@ -334,6 +335,47 @@ class TestMeans:
         f = random_step(BASE232, 6)
         (worst,) = verify_mean_paths(f, [w], range(2, BASE232.size + 1))
         assert worst <= COMPOSED
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES)
+    def test_kernel_route_is_convolution_with_the_kernel(self, spec):
+        # the paper's t_n f = f * F_n, against the literal convolution sum
+        from vilenkin.transform import convolve
+
+        w = weights_from_spec(spec)
+        f = random_step(BASE232, 13)
+        for n in (2, 5, 7, 12):
+            if w.Q(n) > 0:
+                via_kernel = convolve(f, kernel_for(w, BASE232, n))
+                assert np.max(np.abs(mean(f, w, n, "kernel").values - via_kernel.values)) <= COMPOSED
+
+    def test_one_synthesis_per_kernel_and_mean(self, monkeypatch):
+        # every kernel and kernel-route mean is one spectral multiplier
+        calls = {"forward": 0, "inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for owner in (summability, transform):
+            for name in calls:
+                monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+
+        def count(run):
+            calls.update(forward=0, inverse=0)
+            run()
+            return calls["forward"], calls["inverse"]
+
+        f = random_step(BASE232, 14)
+        w = make_weights("cesaro", alpha=0.5)
+        assert count(lambda: mean(f, w, 7, "kernel")) == (1, 1)
+        assert count(lambda: partial_sum(f, 7)) == (1, 1)
+        for build in (lambda: dirichlet(BASE232, 7), lambda: fejer_kernel(BASE232, 7),
+                      lambda: norlund_kernel(w, BASE232, 7), lambda: t_kernel(w, BASE232, 7),
+                      lambda: kernel_for(w, BASE232, 7)):
+            assert count(build) == (0, 1)
 
     def test_riesz_mean_matches_definition(self):
         # T aggregation with harmonic weights: (1/l_n) sum_{k<n} S_k f / k
@@ -549,7 +591,7 @@ def _scaled_result(fn):
      lambda: verify_kernel_abel([make_weights("valpha", alpha=0.5)], BASE232, [7])[0], COMPOSED),
     (summability, "kernel_for", _scaled_table,
      lambda: verify_kernel_mass(make_weights("blog", alpha=0.5, beta=1), BASE232, 7), EXACT),
-    (summability, "convolve_spectral", _scaled_result,
+    (summability, "_profile", _scaled_result,
      lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
      COMPOSED),
     (summability, "character_values", _scaled_psi_0,
