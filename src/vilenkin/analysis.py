@@ -15,7 +15,7 @@ import numpy as np
 
 from .group import GroupPoint, VilenkinBase, coset_members, group_sub
 from .summability import WeightSequence, make_weights, mean, partial_sum
-from .transform import StepFunction, character_values, forward
+from .transform import StepFunction, _write_text, character_values, forward
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
@@ -34,22 +34,20 @@ def lp_norm(f: StepFunction, p: float) -> float:
 
 
 def weak_lp(f: StepFunction, p: float) -> float:
-    """Weak quasi-norm sup_t t * mu(|f| > t)^(1/p).
+    """Weak quasi-norm sup_t t * mu(|f| > t)^(1/p), by one sort of |f|.
 
-    The level grid is the set of distinct values of |f|; evaluating
-    t * mu(|f| >= t)^(1/p) there attains the supremum exactly, because the
-    distribution function only jumps at those values.
+    The supremum is attained at a value t of |f|, evaluated as
+    t * mu(|f| >= t)^(1/p), because the distribution function only jumps at
+    those values.  The i-th smallest of the M values has at least M - i
+    values >= it, with equality at the first of its ties, so the maximum of
+    |f|_(i) * ((M - i)/M)^(1/p) over the sorted values is the supremum.
     """
     if not p >= 1:  # also rejects nan
         raise ValueError(f"weak norm exponent must be >= 1, got {p}")
-    magnitudes = np.abs(f.values)
-    best = 0.0
-    for level in np.unique(magnitudes):
-        if level <= 0:
-            continue
-        measure = np.mean(magnitudes >= level)
-        best = max(best, level * measure ** (1.0 / p))
-    return float(best)
+    levels = np.sort(np.abs(f.values))
+    size = len(levels)
+    measures = (size - np.arange(size)) / size
+    return float(np.max(levels * measures ** (1.0 / p)))
 
 
 def lebesgue_profile(f: StepFunction, x: GroupPoint) -> np.ndarray:
@@ -217,9 +215,4 @@ def records_to_csv(records: list[ConvergenceRecord], path) -> None:
                 f"{rec.mean_kind},{rec.n},{p_text},{rec.error!r},"
                 f"{rank},{rec.point_errors[rank]!r}"
             )
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+    _write_text(path, "\n".join(lines) + "\n")

@@ -8,7 +8,7 @@ Subcommands
 
 Configuration may come from a flat ``key=value`` file (``--config``); flags
 given on the command line win.  Exit codes: 0 ok, 1 tolerance failure,
-2 usage error.
+2 usage error, unreadable config or unwritable output.
 """
 
 from __future__ import annotations
@@ -100,8 +100,13 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def _resolve_base(args) -> VilenkinBase:
-    base = VilenkinBase.parse(args.base, args.depth)
     cap = int(args.cap)
+    # Every radix is >= 2, so M_N >= 2^depth: a depth of cap.bit_length() or
+    # more is rejected before the radices and M_0..M_N are built.
+    depth = args.base.count(",") + 1 if args.depth is None else args.depth
+    if depth >= cap.bit_length():
+        raise ValueError(f"M_N >= 2^{depth} exceeds the cap {cap}")
+    base = VilenkinBase.parse(args.base, args.depth)
     if base.size > cap:
         raise ValueError(f"M_N = {base.size} exceeds the cap {cap}")
     return base
@@ -112,12 +117,6 @@ def _weight_list(text: str) -> list[WeightSequence]:
     if not families:
         raise ValueError(f"--weights {text!r} names no weight family")
     return families
-
-
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="ascii", newline="\n")
-    return sys.stdout
 
 
 # ---------------------------------------------------------------- verify --
@@ -221,9 +220,7 @@ def cmd_verify(args) -> int:
                 for c in checks
             ],
         }
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        transform._write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if not passed:
         failing = [c.name for c in checks if not c.passed]
         print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
@@ -242,12 +239,7 @@ def cmd_converge(args) -> int:
     p_list = parse_p_list(args.p)
     points = parse_int_list(args.points)
     records = analysis.convergence_sweep(f, w, n_list, p_list, points)
-    out = _open_out(args)
-    try:
-        analysis.records_to_csv(records, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    analysis.records_to_csv(records, args.out or sys.stdout)
     return 0
 
 
@@ -274,8 +266,7 @@ def cmd_bench(args) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        transform._write_text(args.out, text)
     print(text, end="")
     return 0
 
@@ -306,13 +297,7 @@ def cmd_kernel_dump(args) -> int:
         raise ValueError(f"unknown kernel kind {kind!r}")
     if w is None and kind in ("norlund", "tmean"):
         raise ValueError(f"kernel kind {kind!r} needs --weights")
-    table = kernels[kind]()
-    out = _open_out(args)
-    try:
-        table.to_csv(out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    kernels[kind]().to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -380,17 +365,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        # The config sets the chosen subcommand's defaults, and flags still win.
-        try:
-            args.parser.set_defaults(**_read_config(args.config))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        args = parser.parse_args(argv)
     try:
+        if args.config:
+            # The config sets the chosen subcommand's defaults, and flags still win.
+            args.parser.set_defaults(**_read_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

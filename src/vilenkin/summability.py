@@ -45,7 +45,12 @@ import numpy as np
 from .group import VilenkinBase, coset_members, order_stats
 from .transform import Spectrum, StepFunction, character_values, forward, inverse
 
-WEIGHT_KINDS = ("constant", "cesaro", "valpha", "riesz_log", "norlund_log", "blog")
+# The parameters of each weight kind's spec, e.g. "blog:alpha:beta".
+_SPEC_PARAMS = {
+    "constant": {}, "cesaro": {"alpha": float}, "valpha": {"alpha": float},
+    "riesz_log": {}, "norlund_log": {}, "blog": {"alpha": float, "beta": int},
+}
+WEIGHT_KINDS = tuple(_SPEC_PARAMS)
 
 
 class WeightSequence:
@@ -57,6 +62,8 @@ class WeightSequence:
     """
 
     def __init__(self, kind, extend, mean_type, monotonicity):
+        if mean_type not in ("norlund", "tmean"):
+            raise ValueError(f"mean type must be 'norlund' or 'tmean', got {mean_type!r}")
         self.kind = kind
         self.mean_type = mean_type
         self.monotonicity = monotonicity
@@ -186,24 +193,19 @@ def make_weights(kind: str, alpha: float | None = None, beta: int | None = None)
 
 def weights_from_spec(text: str) -> WeightSequence:
     """Parse the CLI grammar: "constant", "cesaro:0.5", "blog:0.5:1", ..."""
-    parts = text.split(":")
-    kind, params = parts[0], parts[1:]
+    kind, *params = text.split(":")
+    converters = _SPEC_PARAMS.get(kind)
+    if converters is None:
+        raise ValueError(f"unknown weight kind {kind!r} in {text!r}")
     try:
-        if kind in ("constant", "riesz_log", "norlund_log"):
-            if params:
-                raise ValueError(f"{kind} takes no parameters")
-            return make_weights(kind)
-        if kind in ("cesaro", "valpha"):
-            (alpha,) = params
-            return make_weights(kind, alpha=float(alpha))
-        if kind == "blog":
-            alpha, beta = params
-            return make_weights(kind, alpha=float(alpha), beta=int(beta))
+        kwargs = {
+            name: convert(value)
+            for (name, convert), value in zip(converters.items(), params, strict=True)
+        }
     except ValueError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"bad weight spec {text!r}") from exc
-    raise ValueError(f"unknown weight kind {kind!r} in {text!r}")
+        usage = ":".join([kind, *converters])
+        raise ValueError(f"bad weight spec {text!r}; expected {usage!r}") from None
+    return make_weights(kind, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -260,12 +260,16 @@ def write_complex_csv(path, index_name: str, values: np.ndarray) -> None:
     lines = [f"{index_name},re,im"]
     for i, v in enumerate(values):
         lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    text = "\n".join(lines) + "\n"
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to a stream, or to a file path as ASCII with '\\n' line ends."""
     if hasattr(path, "write"):
         path.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        return
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
 
 
 def read_complex_csv(path, expected_length: int) -> np.ndarray:

@@ -76,6 +76,21 @@ class TestNorms:
         f = spike(BASE232, 2)
         assert weak_lp(f, 1) == pytest.approx(1.0, abs=EXACT)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_weak_norm_matches_a_level_loop(self, p):
+        # The definition, literally: t * mu(|f| >= t)^(1/p) at every distinct
+        # nonzero level t, on data with ties and zeros.
+        rng = np.random.default_rng(11)
+        for spec in ("2,3,2", "5,2,3", "2,2,2,2,2,2"):
+            base = VilenkinBase.parse(spec)
+            values = rng.integers(0, 5, base.size) * rng.choice([1.0, 1j], base.size)
+            for f in (StepFunction(base, values), random_step(base, 3)):
+                mags = np.abs(f.values)
+                levels = [t for t in np.unique(mags) if t > 0]
+                expected = max((t * np.mean(mags >= t) ** (1 / p) for t in levels), default=0.0)
+                assert weak_lp(f, p) == expected
+        assert weak_lp(StepFunction(BASE232, np.zeros(BASE232.size)), p) == 0.0
+
     def test_exponent_validation(self):
         f = random_step(BASE232, 0)
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 """Corpus generation and the experiment-runner CLI contract."""
 
+import contextlib
+import io
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vilenkin import cli
 from vilenkin.analysis import lp_norm
@@ -264,6 +268,22 @@ class TestConfigAndUsage:
         assert code == 2
         assert "exceeds the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--base", "2", "--depth", "50000"],
+        ["--base", ",".join(["2"] * 50000)],
+    ], ids=["depth", "radix-list"])
+    def test_deep_group_rejected_before_it_is_built(self, argv, capsys):
+        # M_0..M_50000 would be Python ints of up to 50000 bits: quadratic memory
+        tracemalloc.start()
+        try:
+            code = cli.main(["verify", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "M_N >= 2^50000 exceeds the cap 4096" in capsys.readouterr().err
+        assert peak < 1 << 20, f"verify peaked at {peak} bytes"
+
     def test_bad_weight_spec(self, capsys):
         code = cli.main(["converge", "--base", "2,3", "--weights", "cesaro:2.0"])
         assert code == 2
@@ -282,3 +302,129 @@ class TestConfigAndUsage:
         captured = capsys.readouterr()
         assert spec in captured.err and "finite alpha" in captured.err
         assert captured.out == ""
+
+
+SMALL_RUNS = {
+    "verify": ["--base", "2,3", "--weights", "constant"],
+    "converge": ["--base", "2,3", "--n", "1..2"],
+    "bench": ["--base", "2,2", "--reps", "1"],
+    "kernel-dump": ["--base", "2,3", "--order", "3"],
+}
+
+
+def run_main(argv):
+    """(exit code, stderr) of ``cli.main``; argparse's SystemExit counts as its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+    def test_unwritable_out(self, command, tmp_path):
+        out = tmp_path / "missing" / "x"
+        code, err = run_main([command, *SMALL_RUNS[command], "--out", str(out)])
+        assert code == 2
+        assert err.splitlines()[-1].startswith("error:") and str(out) in err
+        assert "Traceback" not in err
+
+    def test_directory_as_config(self, tmp_path):
+        code, err = run_main(["converge", "--config", str(tmp_path)])
+        assert code == 2
+        assert err.startswith("error:") and str(tmp_path) in err
+
+
+def _joined(elements, max_size=4):
+    return st.lists(elements, min_size=1, max_size=max_size).map(
+        lambda items: ",".join(map(str, items))
+    )
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+JUNK = st.sampled_from(["", "x", "1.5", "-", " "])
+WEIGHTS = ["constant", "cesaro:0.5", "valpha:0.5", "riesz_log", "norlund_log", "blog:0.5:1"]
+BAD_WEIGHTS = st.sampled_from([
+    "cesaro:2", "cesaro:0.5:1", "blog:0.5:1.5", "cesaro:abc", "valpha:1", "norlund_log:2",
+    "mystery", "blog:nan:1", "cesaro:1e400", "", ",",
+])
+# (valid, malformed) values of each flag
+COMMON_FLAGS = {
+    "base": (_joined(st.integers(2, 4), max_size=3),
+             st.one_of(_joined(st.integers(-1, 1)), JUNK, st.just("2,,3"))),
+    "depth": (_ints(2, 4), st.one_of(_ints(-2, 0), st.just("64"), JUNK)),
+    "cap": (st.sampled_from(["64", "256"]), st.one_of(st.sampled_from(["0", "-8"]), JUNK)),
+    "seed": (_ints(0, 2**70), st.one_of(_ints(-3, -1), JUNK)),
+}
+COMMAND_FLAGS = {
+    "verify": {
+        "weights": (_joined(st.sampled_from(WEIGHTS), max_size=3),
+                    st.tuples(BAD_WEIGHTS, st.sampled_from(WEIGHTS)).map(",".join)),
+    },
+    "converge": {
+        "weights": (st.sampled_from(WEIGHTS), BAD_WEIGHTS),
+        "corpus": (
+            st.sampled_from(["smooth2", "random", "constant", "spike:2", "coset:1", "character:1"]),
+            st.sampled_from(["spike:-1", "spike:x", "coset:99", "character:-1", "mystery", ""]),
+        ),
+        "n": (
+            st.sampled_from(["2", "3", "2..3", "3,2,3"]),
+            st.one_of(st.sampled_from(["0..3", "5..2", "1..x", "300", "1..300"]), JUNK),
+        ),
+        "p": (_joined(st.sampled_from(["1", "2", "3.5", "inf", "1e400"])),
+              st.one_of(st.sampled_from(["0.5", "nan", "-inf", "1,0"]), JUNK)),
+        "points": (_joined(st.integers(0, 1)), st.one_of(_ints(-3, -1), _ints(300, 400), JUNK)),
+    },
+    "bench": {"reps": (_ints(1, 3), st.one_of(_ints(-2, 0), JUNK))},
+    "kernel-dump": {
+        "weights": (st.sampled_from(WEIGHTS), BAD_WEIGHTS),
+        "order": (_ints(1, 8), st.one_of(_ints(-3, 0), _ints(300, 400), JUNK)),
+        "kind": (st.sampled_from(["auto", "dirichlet", "fejer", "norlund", "tmean"]),
+                 st.just("bogus")),
+    },
+}
+
+
+@st.composite
+def cli_argv(draw, root):
+    """A valid argv for one subcommand with at most one flag set to a malformed value.
+
+    Every argv passes --cap <= 256, so no run builds a large group.
+    """
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = {
+        **COMMON_FLAGS,
+        **COMMAND_FLAGS[command],
+        "out": (st.just(root / "out.txt"), st.just(root / "missing" / "out.txt")),
+        "config": (None, st.sampled_from([root, root / "missing.cfg"])),
+    }
+    malformed = draw(st.one_of(st.none(), st.sampled_from(list(flags))))
+    argv = [command, "--cap=256"]
+    for name, (good, bad) in flags.items():
+        if name == malformed:
+            argv.append(f"--{name}={draw(bad)}")
+        elif good is not None and draw(st.integers(0, 3)):  # a quarter keep the default
+            argv.append(f"--{name}={draw(good)}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(fuzz_root, data):
+    argv = data.draw(cli_argv(fuzz_root))
+    code, err = run_main(argv)
+    assert code in ({0, 1, 2} if argv[0] == "verify" else {0, 2}), (argv, code, err)
+    if code == 2:
+        assert err.strip(), argv
+    assert "Traceback" not in err

@@ -132,6 +132,25 @@ class TestWeights:
         with pytest.raises(ValueError):
             weights_from_spec("constant:1")
 
+    @pytest.mark.parametrize("spec, usage", [
+        ("cesaro:0.5:1", "cesaro:alpha"),
+        ("cesaro:abc", "cesaro:alpha"),
+        ("cesaro", "cesaro:alpha"),
+        ("blog:0.5:1.5", "blog:alpha:beta"),
+        ("blog:0.5", "blog:alpha:beta"),
+        ("constant:1", "constant"),
+    ])
+    def test_bad_spec_message_names_the_spec(self, spec, usage):
+        with pytest.raises(ValueError) as info:
+            weights_from_spec(spec)
+        assert str(info.value) == f"bad weight spec {spec!r}; expected {usage!r}"
+
+    @pytest.mark.parametrize("mean_type", ["Norlund", "fejer", "", None])
+    def test_unknown_mean_type_rejected(self, mean_type):
+        # Both mean routes dispatch on mean_type; an unknown tag must not reach them.
+        with pytest.raises(ValueError, match="mean type must be"):
+            WeightSequence("odd", lambda ks: np.ones(len(ks)), mean_type, "non-increasing")
+
 
 class TestRegularity:
     def test_constant_ratio_is_one(self):
