@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group import GroupPoint, VilenkinBase, coset_members, group_sub
-from .summability import WeightSequence, make_weights, mean, partial_sum
-from .transform import StepFunction, _write_text, character_values, forward
+from .summability import WeightSequence, _character_stream, make_weights, mean, partial_sum
+from .transform import StepFunction, _write_text, forward
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
@@ -124,17 +124,12 @@ def restricted_maximal(
 
 
 def full_maximal_fejer(f: StepFunction, n_max: int) -> StepFunction:
-    """sup_{1 <= n <= n_max} |sigma_n f|, by one cumulative pass."""
+    """sup_{1 <= n <= n_max} |sigma_n f|, by one pass of the character stream."""
     base = f.base
     if not 1 <= n_max <= base.size:
         raise ValueError(f"maximal order {n_max} outside [1, {base.size}]")
-    coeffs = forward(f).coeffs
-    running = np.zeros(base.size, dtype=np.complex128)
-    block = np.zeros(base.size, dtype=np.complex128)
     sup = np.zeros(base.size)
-    for n in range(1, n_max + 1):
-        running += coeffs[n - 1] * character_values(base, n - 1)
-        block += running
+    for n, _, block in _character_stream(base, forward(f).coeffs[:n_max]):
         sup = np.maximum(sup, np.abs(block) / n)
     return StepFunction(base, sup)
 

@@ -22,15 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, transform
+from . import analysis, summability, transform
 from .corpus import corpus
 from .group import VilenkinBase
 from .summability import (
     WeightSequence,
-    dirichlet,
-    fejer_kernel,
-    norlund_kernel,
-    t_kernel,
     verify_abel_prefix_sum,
     verify_block_kernel_split,
     verify_dirichlet_complement,
@@ -69,15 +65,15 @@ def parse_n_list(text: str, upper: int) -> list[int]:
     out: list[int] = []
     for token in text.split(","):
         token = token.strip()
-        if ".." in token:
-            lo_text, hi_text = token.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if lo > hi:
-                raise ValueError(f"empty range {token!r}")
-        elif token:
-            lo = hi = int(token)
-        else:
+        if not token:
             continue
+        lo_text, dots, hi_text = token.partition("..")
+        try:
+            lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+        except ValueError:
+            raise ValueError(f"--n {text!r}: expected orders like 1..512 or 4,16,64") from None
+        if lo > hi:
+            raise ValueError(f"empty range {token!r}")
         # checked before the range is built, so a huge range costs nothing
         if lo < 1 or hi > upper:
             raise ValueError(f"orders {token!r} outside [1, {upper}]")
@@ -88,27 +84,43 @@ def parse_n_list(text: str, upper: int) -> list[int]:
 
 
 def parse_p_list(text: str) -> list[float]:
-    out = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        out.append(math.inf if token == "inf" else float(token))
-    return out
+    try:
+        return [float(token) for token in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--p {text!r}: expected comma-separated exponents") from None
 
 
 def parse_int_list(text: str) -> list[int]:
-    return [int(token) for token in text.split(",") if token.strip()]
+    try:
+        return [int(token) for token in text.split(",") if token.strip()]
+    except ValueError:
+        raise ValueError(f"--points {text!r}: expected comma-separated ranks") from None
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return convert
 
 
 def _resolve_base(args) -> VilenkinBase:
-    cap = int(args.cap)
     # Every radix is >= 2, so M_N >= 2^depth: a depth of cap.bit_length() or
     # more is rejected before the radices and M_0..M_N are built.
     depth = args.base.count(",") + 1 if args.depth is None else args.depth
-    if depth >= cap.bit_length():
-        raise ValueError(f"M_N >= 2^{depth} exceeds the cap {cap}")
+    if depth >= args.cap.bit_length():
+        raise ValueError(f"M_N >= 2^{depth} exceeds the cap {args.cap}")
     base = VilenkinBase.parse(args.base, args.depth)
-    if base.size > cap:
-        raise ValueError(f"M_N = {base.size} exceeds the cap {cap}")
+    if base.size > args.cap:
+        raise ValueError(f"M_N = {base.size} exceeds the cap {args.cap}")
     return base
 
 
@@ -201,7 +213,7 @@ def run_verify(base: VilenkinBase, weight_specs: list[WeightSequence], seed: int
 def cmd_verify(args) -> int:
     base = _resolve_base(args)
     weight_specs = _weight_list(args.weights)
-    checks = run_verify(base, weight_specs, int(args.seed))
+    checks = run_verify(base, weight_specs, args.seed)
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name} residual={check.residual:.3e} tol={check.tolerance:.0e}")
@@ -233,9 +245,9 @@ def cmd_verify(args) -> int:
 
 def cmd_converge(args) -> int:
     base = _resolve_base(args)
-    f = corpus(args.corpus, base, int(args.seed))
+    f = corpus(args.corpus, base, args.seed)
     w = weights_from_spec(args.weights)
-    n_list = parse_n_list(args.n, base.size)
+    n_list = parse_n_list(f"1..{min(16, base.size)}" if args.n is None else args.n, base.size)
     p_list = parse_p_list(args.p)
     points = parse_int_list(args.points)
     records = analysis.convergence_sweep(f, w, n_list, p_list, points)
@@ -248,18 +260,16 @@ def cmd_converge(args) -> int:
 
 def cmd_bench(args) -> int:
     base = _resolve_base(args)
-    rng = np.random.default_rng(int(args.seed))
+    rng = np.random.default_rng(args.seed)
     f = StepFunction(base, rng.uniform(-1, 1, base.size))
-    reps = max(1, int(args.reps))
 
     forward(f)  # warm the stage tables
-    fast = min(_time_once(forward, f) for _ in range(reps))
-    naive_reps = max(1, min(reps, 3))
-    naive = min(_time_once(forward_naive, f) for _ in range(naive_reps))
+    fast = min(_time_once(forward, f) for _ in range(args.reps))
+    naive = min(_time_once(forward_naive, f) for _ in range(min(args.reps, 3)))
     report = {
         "base": base.spec(),
         "m_n": base.size,
-        "reps": reps,
+        "reps": args.reps,
         "fast_seconds": fast,
         "naive_seconds": naive,
         "speedup": naive / fast if fast > 0 else math.inf,
@@ -282,22 +292,13 @@ def _time_once(fn, *args) -> float:
 
 def cmd_kernel_dump(args) -> int:
     base = _resolve_base(args)
-    n = int(args.order)
     kind = args.kind
     w = weights_from_spec(args.weights) if args.weights else None
     if kind == "auto":
         kind = w.mean_type if w else "dirichlet"
-    kernels = {
-        "dirichlet": lambda: dirichlet(base, n),
-        "fejer": lambda: fejer_kernel(base, n),
-        "norlund": lambda: norlund_kernel(w, base, n),
-        "tmean": lambda: t_kernel(w, base, n),
-    }
-    if kind not in kernels:
-        raise ValueError(f"unknown kernel kind {kind!r}")
     if w is None and kind in ("norlund", "tmean"):
         raise ValueError(f"kernel kind {kind!r} needs --weights")
-    kernels[kind]().to_csv(args.out or sys.stdout)
+    summability._kernel(kind, w, base, args.order).to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -330,8 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="flat key=value config file; flags win")
     common.add_argument("--base", default="2,3,2", help="comma-separated radices")
     common.add_argument("--depth", type=int, default=None, help="cycle radices to this depth")
-    common.add_argument("--seed", default="0", help="seed for random corpora")
-    common.add_argument("--cap", default=str(DEFAULT_CAP), help="largest allowed M_N")
+    common.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for random corpora")
+    common.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest allowed M_N")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,18 +343,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("converge", parents=[common], help="convergence sweep CSV")
     p_conv.add_argument("--weights", default="constant", help="one weight spec")
     p_conv.add_argument("--corpus", default="smooth2", help="test-function name")
-    p_conv.add_argument("--n", default="1..16", help="orders, e.g. 1..512 or 4,16,64")
+    p_conv.add_argument("--n", help="orders, e.g. 1..512 or 4,16,64 (default 1..min(16, M_N))")
     p_conv.add_argument("--p", default="1,2,inf", help="norm exponents")
     p_conv.add_argument("--points", default="0", help="ranks for pointwise errors")
     p_conv.set_defaults(func=cmd_converge, parser=p_conv)
 
     p_bench = sub.add_parser("bench", parents=[common], help="fast vs naive timings")
-    p_bench.add_argument("--reps", default="5", help="fast-path repetitions")
+    p_bench.add_argument("--reps", type=_int_at_least(1), default=5, help="fast-path repetitions")
     p_bench.set_defaults(func=cmd_bench, parser=p_bench)
 
     p_dump = sub.add_parser("kernel-dump", parents=[common], help="write a kernel CSV")
     p_dump.add_argument("--weights", default=None, help="weight spec for norlund/tmean kinds")
-    p_dump.add_argument("--order", default="1", help="kernel order n")
+    p_dump.add_argument("--order", type=int, default=1, help="kernel order n")
     p_dump.add_argument(
         "--kind", default="auto", choices=["auto", "dirichlet", "fejer", "norlund", "tmean"]
     )

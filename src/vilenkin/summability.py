@@ -276,16 +276,20 @@ def _multiply(base: VilenkinBase, coeffs: np.ndarray, p: np.ndarray) -> StepFunc
     return inverse(Spectrum(base, product))
 
 
+def _kernel(kind: str, w: WeightSequence | None, base: VilenkinBase, n: int) -> StepFunction:
+    """The order-n kernel of ``kind``: its profile on the unit spectrum, after the order check."""
+    _check_order(base, n)
+    return _multiply(base, np.ones(n), _profile(kind, w, n))
+
+
 def dirichlet(base: VilenkinBase, n: int) -> StepFunction:
     """D_n = sum_{k<n} psi_k, synthesized from its 0/1 spectral profile."""
-    _check_order(base, n)
-    return _multiply(base, np.ones(n), _profile("dirichlet", None, n))
+    return _kernel("dirichlet", None, base, n)
 
 
 def fejer_kernel(base: VilenkinBase, n: int) -> StepFunction:
     """K_n = (1/n) sum_{k=1}^n D_k, spectral profile (n-j)/n for j < n."""
-    _check_order(base, n)
-    return _multiply(base, np.ones(n), _profile("fejer", None, n))
+    return _kernel("fejer", None, base, n)
 
 
 def norlund_kernel(w: WeightSequence, base: VilenkinBase, n: int) -> StepFunction:
@@ -294,20 +298,17 @@ def norlund_kernel(w: WeightSequence, base: VilenkinBase, n: int) -> StepFunctio
     Collecting the coefficient of each character gives the equivalent
     spectral profile Q_{n-j}/Q_n for j < n, synthesized in one pass.
     """
-    _check_order(base, n)
-    return _multiply(base, np.ones(n), _profile("norlund", w, n))
+    return _kernel("norlund", w, base, n)
 
 
 def t_kernel(w: WeightSequence, base: VilenkinBase, n: int) -> StepFunction:
     """F_n^inv = (1/Q_n) sum_{k=0}^{n-1} q_k D_k, profile (Q_n - Q_{j+1})/Q_n."""
-    _check_order(base, n)
-    return _multiply(base, np.ones(n), _profile("tmean", w, n))
+    return _kernel("tmean", w, base, n)
 
 
 def kernel_for(w: WeightSequence, base: VilenkinBase, n: int) -> StepFunction:
     """The kernel matching the family's aggregation shape."""
-    _check_order(base, n)
-    return _multiply(base, np.ones(n), _profile(w.mean_type, w, n))
+    return _kernel(w.mean_type, w, base, n)
 
 
 def partial_sum(f: StepFunction, n: int) -> StepFunction:
@@ -351,15 +352,27 @@ def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
     return q[::-1] if w.mean_type == "norlund" else q[1:]
 
 
+def _character_stream(base: VilenkinBase, coeffs: np.ndarray):
+    """Yield (k, S_k, k sigma_k) for k = 1 .. len(coeffs), building psi_{k-1} once per step.
+
+    S_k = sum_{j<k} coeffs[j] psi_j and k sigma_k = sum_{j<=k} S_j are updated
+    in place, so each yielded array is valid until the next step.
+    """
+    running = np.zeros(base.size, dtype=np.complex128)  # S_k
+    block = np.zeros(base.size, dtype=np.complex128)  # k * sigma_k
+    for k, coefficient in enumerate(coeffs, start=1):
+        running += coefficient * character_values(base, k - 1)
+        block += running
+        yield k, running, block
+
+
 def _abel_accumulate(base: VilenkinBase, coeffs: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """The direct and the Abel order-n means of the spectrum ``coeffs``, one row per (w, n).
 
-    One literal character stream serves every row: psi_{k-1} is built once
-    for k = 1, 2, ..., and so are S_k = sum_{j<k} coeffs[j] psi_j and
-    k sigma_k = sum_{j<=k} S_j.  Each row with a k-th weight adds c_k S_k
-    (direct) and d_k k sigma_k (Abel).  The rows are kept sorted by their
-    number of weights, so those rows are a suffix, and each row's arithmetic
-    and its order are those of a stream over that row alone.
+    One :func:`_character_stream` serves every row.  Each row with a k-th
+    weight adds c_k S_k (direct) and d_k k sigma_k (Abel).  The rows are kept
+    sorted by their number of weights, so those rows are a suffix, and each
+    row's arithmetic and its order are those of a stream over that row alone.
     """
     weights = [_partial_sum_weights(w, n) for w, n in rows]
     sizes = np.array([len(c) for c in weights], dtype=int)
@@ -372,14 +385,10 @@ def _abel_accumulate(base: VilenkinBase, coeffs: np.ndarray, rows) -> tuple[np.n
     # sum_k c_k S_k f = sum_j (c_j - c_{j+1}) * j * sigma_j f, with c past the end 0
     d = c.copy()
     d[:, :-1] -= c[:, 1:]
-    running = np.zeros(base.size, dtype=np.complex128)  # S_k f
-    block = np.zeros(base.size, dtype=np.complex128)  # k * sigma_k f
     direct = np.zeros((len(rows), base.size), dtype=np.complex128)
     abel = np.zeros_like(direct)
-    for k in range(1, c.shape[1] + 1):
+    for k, running, block in _character_stream(base, coeffs[: c.shape[1]]):
         live = np.searchsorted(lengths, k)  # the first row with a k-th weight
-        running += coeffs[k - 1] * character_values(base, k - 1)
-        block += running
         direct[live:] += c[live:, k - 1, None] * running
         abel[live:] += d[live:, k - 1, None] * block
     back = np.argsort(order)
@@ -436,25 +445,20 @@ def verify_block_kernel_split(w: WeightSequence, base: VilenkinBase, r: int) -> 
     if not 1 <= r <= base.depth:
         raise ValueError(f"block level {r} outside [1, {base.depth}]")
     m_r = base.cumprod[r]
-    lhs = norlund_kernel(w, base, m_r).values
-    d_m = _multiply(base, np.ones(m_r), _profile("dirichlet", None, m_r)).values
-    rhs = d_m - character_values(base, m_r - 1) * np.conj(
-        t_kernel(w, base, m_r).values
-    )
-    return float(np.max(np.abs(lhs - rhs)))
+    d_m = _kernel("dirichlet", None, base, m_r).values
+    rhs = d_m - character_values(base, m_r - 1) * np.conj(t_kernel(w, base, m_r).values)
+    return _deviation(norlund_kernel(w, base, m_r).values, rhs)
 
 
 def verify_dirichlet_integral(base: VilenkinBase) -> float:
     """Largest |integral of D_n - 1| over every order 1 <= n <= M_N.
 
-    D_n is accumulated literally, one character per order, so the check does
-    not share the spectral synthesis of :func:`dirichlet`.
+    D_n is the character stream's S_n on the unit spectrum, a literal sum, so
+    the check does not share the spectral synthesis of :func:`dirichlet`.
     """
-    running = np.zeros(base.size, dtype=np.complex128)
     worst = 0.0
-    for n in range(1, base.size + 1):
-        running += character_values(base, n - 1)
-        worst = max(worst, abs(running.mean() - 1.0))
+    for _, d_n, _ in _character_stream(base, np.ones(base.size)):
+        worst = max(worst, abs(d_n.mean() - 1.0))
     return float(worst)
 
 

@@ -40,16 +40,7 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.complex128)
-        if values.shape != (self.base.size,):
-            raise ValueError(
-                f"expected {self.base.size} values for {self.base}, "
-                f"got shape {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError(f"non-finite value in a step function on {self.base}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(self.base, self.values, "value", "a step function"))
 
     def integral(self) -> complex:
         """Exact Haar integral (1/M_N) * sum of the values."""
@@ -84,16 +75,7 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != (self.base.size,):
-            raise ValueError(
-                f"expected {self.base.size} coefficients for {self.base}, "
-                f"got shape {coeffs.shape}"
-            )
-        if not np.isfinite(coeffs).all():
-            raise ValueError(f"non-finite coefficient in a spectrum on {self.base}")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _frozen(self.base, self.coeffs, "coefficient", "a spectrum"))
 
     def to_csv(self, path) -> None:
         write_complex_csv(path, "n", self.coeffs)
@@ -101,6 +83,17 @@ class Spectrum:
     @classmethod
     def from_csv(cls, base: VilenkinBase, path) -> "Spectrum":
         return cls(base, read_complex_csv(path, base.size))
+
+
+def _frozen(base: VilenkinBase, data, noun: str, owner: str) -> np.ndarray:
+    """A read-only complex copy of ``data``: one finite entry per rank of ``base``."""
+    out = np.array(data, dtype=np.complex128)
+    if out.shape != (base.size,):
+        raise ValueError(f"expected {base.size} {noun}s for {base}, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"non-finite {noun} in {owner} on {base}")
+    out.setflags(write=False)
+    return out
 
 
 def _check_same_base(f, g) -> None:

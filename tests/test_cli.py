@@ -14,8 +14,10 @@ from vilenkin import cli
 from vilenkin.analysis import lp_norm
 from vilenkin.corpus import corpus
 from vilenkin.group import VilenkinBase
-from vilenkin.summability import fejer_kernel, norlund_kernel, weights_from_spec
-from vilenkin.transform import character_values
+from vilenkin.summability import (
+    dirichlet, fejer_kernel, kernel_for, norlund_kernel, t_kernel, weights_from_spec,
+)
+from vilenkin.transform import StepFunction, character_values
 
 BASE232 = VilenkinBase.parse("2,3,2")
 EXACT = 1e-12
@@ -428,3 +430,88 @@ def test_fuzzed_argv_exits_cleanly(fuzz_root, data):
     if code == 2:
         assert err.strip(), argv
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, orders", [
+    ([], range(1, 13)),  # the default --base 2,3,2 has M_N = 12
+    (["--base", "2", "--depth", "5"], range(1, 17)),
+], ids=["default-base", "M_N-32"])
+def test_default_orders_fit_the_group(argv, orders, capsys):
+    assert cli.main(["converge", *argv]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert sorted({int(row.split(",")[1]) for row in rows}) == list(orders)
+
+
+def test_explicit_orders_past_the_group_still_fail(capsys):
+    assert cli.main(["converge", "--n", "1..13"]) == 2
+    assert "orders '1..13' outside [1, 12]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--reps", "x"], "argument --reps: expected an integer >= 1, got 'x'"),
+    (["bench", "--reps", "-2"], "argument --reps: expected an integer >= 1, got '-2'"),
+    (["verify", "--seed", "x"], "argument --seed: expected an integer >= 0, got 'x'"),
+    (["verify", "--seed", "-1"], "argument --seed: expected an integer >= 0, got '-1'"),
+    (["verify", "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+    (["kernel-dump", "--order", "x"], "argument --order: invalid int value: 'x'"),
+    (["converge", "--n", "1..4", "--p", "x"], "--p 'x': expected comma-separated exponents"),
+    (["converge", "--points", "x"], "--points 'x': expected comma-separated ranks"),
+    (["converge", "--n", "1..x"], "--n '1..x': expected orders like 1..512 or 4,16,64"),
+], ids=["reps-x", "reps-negative", "seed-x", "seed-negative", "cap-x", "order-x", "p-x",
+        "points-x", "n-x"])
+def test_numeric_flag_errors_name_the_flag(argv, message):
+    code, err = run_main(argv)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("verify", "seed=-1", "argument --seed: expected an integer >= 0, got '-1'"),
+    ("bench", "reps=0", "argument --reps: expected an integer >= 1, got '0'"),
+], ids=["seed", "reps"])
+def test_config_values_get_the_flag_checks(command, line, message, tmp_path):
+    config = tmp_path / "numbers.cfg"
+    config.write_text(line + "\n")
+    code, err = run_main([command, "--config", str(config)])
+    assert code == 2
+    assert message in err
+
+
+class TestKernelDumpErrors:
+    def test_unknown_kind_from_config(self, tmp_path):
+        # argparse checks --kind against its choices, but not a config default
+        config = tmp_path / "bogus.cfg"
+        config.write_text("kind=bogus\norder=3\n")
+        code, err = run_main(["kernel-dump", "--config", str(config)])
+        assert code == 2
+        assert "unknown kernel kind 'bogus'" in err
+
+    @pytest.mark.parametrize("order", ["0", "13"])
+    def test_order_outside_the_group(self, order):
+        code, err = run_main(["kernel-dump", "--base", "2,3,2", "--order", order])
+        assert code == 2
+        assert f"kernel order {order} outside [1, 12]" in err
+
+    def test_weighted_kind_without_weights(self):
+        code, err = run_main(["kernel-dump", "--base", "2,3,2", "--order", "7", "--kind", "tmean"])
+        assert code == 2
+        assert "kernel kind 'tmean' needs --weights" in err
+
+
+@pytest.mark.parametrize("kind, spec, build", [
+    ("auto", None, lambda w: dirichlet(BASE232, 7)),
+    ("auto", "cesaro:0.5", lambda w: kernel_for(w, BASE232, 7)),
+    ("auto", "riesz_log", lambda w: kernel_for(w, BASE232, 7)),
+    ("dirichlet", "valpha:0.5", lambda w: dirichlet(BASE232, 7)),
+    ("fejer", None, lambda w: fejer_kernel(BASE232, 7)),
+    ("norlund", "valpha:0.5", lambda w: norlund_kernel(w, BASE232, 7)),
+    ("tmean", "riesz_log", lambda w: t_kernel(w, BASE232, 7)),
+], ids=["auto", "auto-norlund", "auto-tmean", "dirichlet", "fejer", "norlund", "tmean"])
+def test_every_kernel_kind_matches_its_builder(kind, spec, build, tmp_path, capsys):
+    path = tmp_path / "k.csv"
+    argv = ["kernel-dump", "--base", "2,3,2", "--order", "7", "--kind", kind, "--out", str(path)]
+    assert cli.main(argv + (["--weights", spec] if spec else [])) == 0
+    capsys.readouterr()
+    expected = build(weights_from_spec(spec) if spec else None).values
+    np.testing.assert_array_equal(StepFunction.from_csv(BASE232, path).values, expected)
