@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group import GroupPoint, VilenkinBase, coset_members, group_sub
-from .summability import WeightSequence, _character_stream, make_weights, mean, partial_sum
+from .summability import (
+    WeightSequence,
+    _character_stream,
+    _check_mean,
+    _multiply,
+    _profile,
+    make_weights,
+)
 from .transform import StepFunction, _write_text, forward
 
 
@@ -100,26 +107,28 @@ def restricted_maximal(
 
     Families: "S_at_Mn" (partial sums), "L_at_Mn" (logarithmic Norlund
     means), "t_at_Mn" (the means of ``weights``).  Orders with a degenerate
-    weight prefix are skipped.
+    weight prefix are skipped.  f is transformed once; each order is one
+    synthesis on its spectrum.
     """
     base = f.base
     if family == "L_at_Mn":
         weights = make_weights("norlund_log")
     if family == "S_at_Mn":
-        operators = (partial_sum(f, m_r) for m_r in base.cumprod)
+        profiles = (_profile("dirichlet", None, m_r) for m_r in base.cumprod)
     elif family in ("L_at_Mn", "t_at_Mn"):
         if weights is None:
             raise ValueError("family 't_at_Mn' needs a weight sequence")
-        operators = (
-            mean(f, weights, m_r, method="kernel")
+        profiles = (
+            _profile(weights.mean_type, weights, m_r)
             for m_r in base.cumprod
             if weights.Q(m_r) > 0
         )
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {MAXIMAL_FAMILIES}")
+    coeffs = forward(f).coeffs
     sup = np.zeros(base.size)
-    for g in operators:
-        sup = np.maximum(sup, np.abs(g.values))
+    for p in profiles:
+        sup = np.maximum(sup, np.abs(_multiply(base, coeffs, [p])[0]))
     return StepFunction(base, sup)
 
 
@@ -163,7 +172,9 @@ def convergence_sweep(
     """Tabulate ||t_n f - f||_p and pointwise errors over the grid.
 
     Whenever an order n equals some block size M_r, a companion record for
-    the partial sum S_n is emitted as well (mean_kind "partial_sum").
+    the partial sum S_n is emitted as well (mean_kind "partial_sum").  f is
+    transformed once; each mean and partial sum is one synthesis on its
+    spectrum, the kernel route of :func:`~vilenkin.summability.mean`.
     """
     base = f.base
     points = list(points or [])
@@ -171,14 +182,16 @@ def convergence_sweep(
         if not 0 <= rank < base.size:
             raise ValueError(f"point rank {rank} outside [0, {base.size})")
     blocks = set(base.cumprod)
+    coeffs = forward(f).coeffs
     records = []
     for n in n_list:
         n = int(n)
-        targets = [(w.kind, mean(f, w, n, method="kernel"))]
+        _check_mean(base, w, n)
+        targets = [(w.kind, _profile(w.mean_type, w, n))]
         if n in blocks:
-            targets.append(("partial_sum", partial_sum(f, n)))
-        for kind, approx in targets:
-            residual = approx - f
+            targets.append(("partial_sum", _profile("dirichlet", None, n)))
+        for kind, profile in targets:
+            residual = StepFunction(base, _multiply(base, coeffs, [profile])[0] - f.values)
             point_errors = {
                 rank: float(abs(residual.values[rank])) for rank in points
             }

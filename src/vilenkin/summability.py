@@ -15,10 +15,13 @@ so that the mean is convolution of f with its kernel.  D_0 is the empty sum
 (identically 0).  Every such kernel and mean is one spectral multiplier:
 ``_profile`` gives the coefficients of psi_0 .. psi_{n-1} (1 for D_n,
 (n-j)/n for K_n, Q_{n-j}/Q_n for F_n, (Q_n - Q_{j+1})/Q_n for F_n^inv), and
-``_multiply`` scales a spectrum by them and makes the one inverse transform.
-A kernel is the profile on the unit spectrum; the "kernel" route of ``mean``
-and ``partial_sum`` put it on f's spectrum, one forward and one inverse
-transform, with no kernel table in between.  The Abel rearrangement gives
+``_multiply`` scales a spectrum by a stack of them and runs every row through
+the stage engine in one call.  A kernel is the profile on the unit spectrum;
+the "kernel" route of ``mean`` and ``partial_sum`` put it on f's spectrum,
+one forward transform and one synthesis, with no kernel table in between.
+The one-order functions are the one-row case; the Dirichlet complement check
+synthesizes all D_n of a level in one call, and the mean-path check all
+kernel-route rows of one forward transform of f.  The Abel rearrangement gives
 the alternate evaluation
 
     t_n f = (1/Q_n) * ( sum_{j=1}^{n-1} (q_{n-j} - q_{n-j-1}) * j * sigma_j f
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import VilenkinBase, coset_members, order_stats
-from .transform import Spectrum, StepFunction, character_values, forward, inverse
+from .transform import Spectrum, StepFunction, _separable_apply, character_values, forward, inverse
 
 # The parameters of each weight kind's spec, e.g. "blog:alpha:beta".
 _SPEC_PARAMS = {
@@ -265,21 +268,27 @@ def _profile(kind: str, w: WeightSequence | None, n: int) -> np.ndarray:
     return (Q[n:0:-1] if kind == "norlund" else Q[n] - Q[1:]) / Q[n]
 
 
-def _multiply(base: VilenkinBase, coeffs: np.ndarray, p: np.ndarray) -> StepFunction:
-    """The one synthesis: the spectrum ``coeffs[:len(p)] * p``, zero above, inverted.
+def _multiply(base: VilenkinBase, coeffs: np.ndarray, profiles) -> np.ndarray:
+    """The one synthesis: row i is the spectrum ``coeffs[:len(p_i)] * p_i``, zero above, inverted.
 
+    A stack of profiles is one call of the stage engine, and each row has
+    the bits of a call on it alone.  One profile is the public
+    :func:`inverse`, so a one-order kernel or mean is one inverse transform.
     A kernel is the multiplier applied to the unit spectrum (coefficients 1),
     a mean or partial sum the multiplier applied to f's spectrum.
     """
-    product = np.zeros(base.size, dtype=np.complex128)
-    product[: len(p)] = coeffs[: len(p)] * p
-    return inverse(Spectrum(base, product))
+    product = np.zeros((len(profiles), base.size), dtype=np.complex128)
+    for row, p in zip(product, profiles):
+        row[: len(p)] = coeffs[: len(p)] * p
+    if len(product) == 1:
+        return inverse(Spectrum(base, product[0])).values[None]
+    return _separable_apply(base, product, +1)
 
 
 def _kernel(kind: str, w: WeightSequence | None, base: VilenkinBase, n: int) -> StepFunction:
     """The order-n kernel of ``kind``: its profile on the unit spectrum, after the order check."""
     _check_order(base, n)
-    return _multiply(base, np.ones(n), _profile(kind, w, n))
+    return StepFunction(base, _multiply(base, np.ones(n), [_profile(kind, w, n)])[0])
 
 
 def dirichlet(base: VilenkinBase, n: int) -> StepFunction:
@@ -315,7 +324,8 @@ def partial_sum(f: StepFunction, n: int) -> StepFunction:
     """S_n f = sum_{k<n} coeffs[k] psi_k: f's spectrum under the Dirichlet profile."""
     if not 0 <= n <= f.base.size:
         raise ValueError(f"partial-sum order {n} outside [0, {f.base.size}]")
-    return _multiply(f.base, forward(f).coeffs, _profile("dirichlet", None, n))
+    profile = _profile("dirichlet", None, n)
+    return StepFunction(f.base, _multiply(f.base, forward(f).coeffs, [profile])[0])
 
 
 MEAN_METHODS = ("direct", "kernel", "abel")
@@ -330,16 +340,26 @@ def mean(f: StepFunction, w: WeightSequence, n: int, method: str = "direct") -> 
     roundoff.
     """
     base = f.base
-    if not 1 <= n <= base.size:
-        raise ValueError(f"mean order {n} outside [1, {base.size}]")
-    if w.Q(n) <= 0:
-        raise ValueError(f"degenerate weights: Q_{n} = 0 for {w.kind}")
+    _check_mean(base, w, n)
     if method == "kernel":
-        return _multiply(base, forward(f).coeffs, _profile(w.mean_type, w, n))
+        return StepFunction(base, _kernel_means(base, forward(f).coeffs, [(w, n)])[0])
     if method not in MEAN_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {MEAN_METHODS}")
     direct, abel = _abel_accumulate(base, forward(f).coeffs, [(w, n)])
     return StepFunction(base, direct[0] if method == "direct" else abel[0])
+
+
+def _check_mean(base: VilenkinBase, w: WeightSequence, n: int) -> None:
+    """Reject an order-n mean outside [1, M_N] or with Q_n = 0."""
+    if not 1 <= n <= base.size:
+        raise ValueError(f"mean order {n} outside [1, {base.size}]")
+    if w.Q(n) <= 0:
+        raise ValueError(f"degenerate weights: Q_{n} = 0 for {w.kind}")
+
+
+def _kernel_means(base: VilenkinBase, coeffs: np.ndarray, rows) -> np.ndarray:
+    """The kernel-route means of the spectrum ``coeffs``, one row per (w, n), in one synthesis."""
+    return _multiply(base, coeffs, [_profile(w.mean_type, w, n) for w, n in rows])
 
 
 def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
@@ -410,7 +430,8 @@ def verify_dirichlet_complement(base: VilenkinBase, r: int, offsets) -> float:
 
     Exact for 0 <= j < M_r because the top M_r - j characters are the
     digitwise complements of the bottom j.  Each residual is the max
-    pointwise deviation over the group; each distinct D_n is synthesized once.
+    pointwise deviation over the group; the distinct D_n of the level are the
+    rows of one synthesis.
     """
     if not 0 <= r <= base.depth:
         raise ValueError(f"block level {r} outside [0, {base.depth}]")
@@ -419,10 +440,9 @@ def verify_dirichlet_complement(base: VilenkinBase, r: int, offsets) -> float:
     for j in offsets:
         if not 0 <= j < m_r:
             raise ValueError(f"offset {j} outside [0, {m_r})")
-    tables = {
-        n: _multiply(base, np.ones(n), _profile("dirichlet", None, n)).values
-        for n in {m_r, *offsets, *(m_r - j for j in offsets)}
-    }
+    orders = sorted({m_r, *offsets, *(m_r - j for j in offsets)})
+    profiles = [_profile("dirichlet", None, n) for n in orders]
+    tables = dict(zip(orders, _multiply(base, np.ones(m_r), profiles)))
     psi = character_values(base, m_r - 1)
     return max(
         (_deviation(tables[m_r - j], tables[m_r] - psi * np.conj(tables[j])) for j in offsets),
@@ -517,19 +537,27 @@ def verify_mean_paths(f: StepFunction, families, orders) -> list[float]:
     """Per family, the largest deviation of the kernel and Abel mean routes from the direct one.
 
     Every order with Q_n > 0 is checked.  The direct and Abel means of all
-    families and orders come from one character stream over f's spectrum.
-    At each family's first such order, the public one-order direct and Abel
-    routes of :func:`mean` are also held against their rows of the stream.
+    families and orders come from one character stream over f's spectrum,
+    and their kernel-route means from one synthesis on that spectrum.  At
+    each family's first such order, the public one-order routes of
+    :func:`mean` are also held against their rows of the batch.
     """
     live = _live_rows(families, orders)
-    direct, abel = _abel_accumulate(f.base, forward(f).coeffs, [(w, n) for _, w, n in live])
+    rows = [(w, n) for _, w, n in live]
+    coeffs = forward(f).coeffs
+    direct, abel = _abel_accumulate(f.base, coeffs, rows)
+    spectral = _kernel_means(f.base, coeffs, rows)
     worst = [0.0] * len(families)
     seen = set()
-    for (i, w, n), exact, rebuilt in zip(live, direct, abel):
-        pairs = [(mean(f, w, n, method="kernel").values, exact), (rebuilt, exact)]
+    for (i, w, n), exact, rebuilt, multiplied in zip(live, direct, abel, spectral):
+        pairs = [(multiplied, exact), (rebuilt, exact)]
         if i not in seen:
             seen.add(i)
-            pairs += [(mean(f, w, n, "direct").values, exact), (mean(f, w, n, "abel").values, rebuilt)]
+            pairs += [
+                (mean(f, w, n, "kernel").values, multiplied),
+                (mean(f, w, n, "direct").values, exact),
+                (mean(f, w, n, "abel").values, rebuilt),
+            ]
         worst[i] = max(worst[i], *(_deviation(a, b) for a, b in pairs))
     return worst
 

@@ -5,14 +5,16 @@ is a tensor product over coordinates, so the transform runs one stage per
 radix m_k, each a size-m_k DFT over the digit x_k.  Total cost is
 O(M_N * sum_k m_k) against O(M_N^2) for the literal sum.
 
-Each stage works on a flat view of the vector.  Stage k reads it as the
-C-order (M_N/m_k, m_k) matrix whose column index is the digit x_k, and writes
-the transformed (m_k, M_N/m_k) matrix: the new digit n_k becomes the slowest
-index and x_{k+1} reaches stride 1 for the next stage, so every stage reads
-its digit at stride 1 and no transpose is ever copied back.  After the last
-stage the digits stand in natural order n = n_0 + M_1 n_1 + ...  A radix-2
-stage is an add/sub butterfly; any other radix is one matrix product with the
-cached DFT matrix of size m_k.  The butterfly adds and subtracts exactly,
+Each stage works on a flat view of each row.  The engine takes a
+(rows, M_N) stack, and a single vector is the one-row case.  Stage k reads
+every row as the C-order (M_N/m_k, m_k) matrix whose column index is the
+digit x_k, and writes the transformed (m_k, M_N/m_k) matrix: the new digit n_k
+becomes the slowest index and x_{k+1} reaches stride 1 for the next stage, so
+every stage reads its digit at stride 1 and no transpose is ever copied back.
+After the last stage the digits stand in natural order n = n_0 + M_1 n_1 + ...
+A radix-2 stage is an add/sub butterfly; any other radix is one matrix
+product per row with the cached DFT matrix of size m_k, so each row gets the
+bits of a call on that row alone.  The butterfly adds and subtracts exactly,
 where the DFT matrix of size 2 holds exp(i*pi) = -1 + 1.2e-16i, so results
 differ from a matrix stage in the last bits.
 
@@ -138,13 +140,16 @@ def character(n: int, x: GroupPoint) -> complex:
 
 
 def character_values(base: VilenkinBase, n: int) -> np.ndarray:
-    """psi_n sampled at every rank, via the same per-radix root tables."""
-    digits = decode_index(n, base)
+    """psi_n sampled at every rank: per digit, row n_k of the DFT table gathered by x_k.
+
+    Entry [n_k, x_k] of ``_dft_matrix(m_k, +1)`` is the root r_k^{n_k x_k}
+    itself, so the gather gives the bits of indexing the root table by
+    (n_k x_k) mod m_k.
+    """
     out = np.ones(base.size, dtype=np.complex128)
-    for k, n_k in enumerate(digits):
+    for k, n_k in enumerate(decode_index(n, base)):
         if n_k:
-            m = base.radices[k]
-            out *= _unit_roots(m)[(n_k * base.digit_table[:, k]) % m]
+            out *= _dft_matrix(base.radices[k], +1)[n_k][base.digit_table[:, k]]
     return out
 
 
@@ -180,17 +185,23 @@ def verify_orthonormality(base: VilenkinBase) -> float:
 
 
 def _separable_apply(base: VilenkinBase, vec: np.ndarray, sign: int) -> np.ndarray:
-    """One size-m_k DFT stage per coordinate, each on the (M_N/m_k, m_k) view."""
+    """One size-m_k DFT stage per coordinate, each on the (rows, M_N/m_k, m_k) view.
+
+    ``vec`` is one vector of M_N values or a (rows, M_N) stack, possibly of
+    no rows; the result has its shape.
+    """
     a = np.asarray(vec, dtype=np.complex128)
+    shape = a.shape
+    rows = a.size // base.size
     for m in base.radices:
-        v = a.reshape(-1, m)
+        v = a.reshape(rows, base.size // m, m)
         if m == 2:
-            a = np.empty((2, v.shape[0]), dtype=np.complex128)
-            np.add(v[:, 0], v[:, 1], out=a[0])
-            np.subtract(v[:, 0], v[:, 1], out=a[1])
+            a = np.empty((rows, 2, base.size // 2), dtype=np.complex128)
+            np.add(v[:, :, 0], v[:, :, 1], out=a[:, 0])
+            np.subtract(v[:, :, 0], v[:, :, 1], out=a[:, 1])
         else:
-            a = _dft_matrix(m, sign) @ v.T
-    return a.reshape(-1)
+            a = np.matmul(_dft_matrix(m, sign), v.transpose(0, 2, 1))
+    return a.reshape(shape)
 
 
 def forward(f: StepFunction) -> Spectrum:

@@ -439,6 +439,16 @@ class TestMeans:
             assert np.array_equal(mean(f, w, n, "direct").values, direct_row)
             assert np.array_equal(mean(f, w, n, "abel").values, abel_row)
 
+    def test_kernel_route_rows_equal_one_order_calls(self):
+        # the mean-path check's one synthesis gives each row the bytes of mean(kernel)
+        f = random_step(BASE232, 13)
+        families = [weights_from_spec(spec) for spec in ALL_FAMILIES]
+        rows = [(w, n) for w in families for n in range(1, BASE232.size + 1) if w.Q(n) > 0]
+        batch = summability._kernel_means(BASE232, forward(f).coeffs, rows)
+        assert batch.shape == (len(rows), BASE232.size)
+        for (w, n), row in zip(rows, batch):
+            assert np.array_equal(mean(f, w, n, "kernel").values.view(float), row.view(float))
+
     def test_degenerate_and_bad_method(self):
         f = random_step(BASE232, 9)
         with pytest.raises(ValueError):
@@ -599,6 +609,21 @@ def _scaled_result(fn):
     return lambda *args: fn(*args) * FAULT
 
 
+def _scaled_first_entry(profile):
+    # a uniform scale of every D_n leaves the linear complement identity true
+    def faulty(*args):
+        p = profile(*args)
+        p[:1] *= FAULT
+        return p
+
+    return faulty
+
+
+def _scaled_psi_top(character_values):
+    # psi_{M_r - 1} of the level-2 complement on 2,3,2
+    return lambda base, n: character_values(base, n) * (FAULT if n == 5 else 1.0)
+
+
 @pytest.mark.parametrize("owner, name, fault, residual, tolerance", [
     (transform, "character_block", _scaled_first_row,
      lambda: verify_orthonormality(BASE232), EXACT),
@@ -616,8 +641,15 @@ def _scaled_result(fn):
     (summability, "character_values", _scaled_psi_0,
      lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
      COMPOSED),
+    (summability, "_profile", _scaled_first_entry,
+     lambda: verify_dirichlet_complement(BASE232, 2, range(BASE232.cumprod[2])), COMPOSED),
+    (summability, "character_values", _scaled_psi_top,
+     lambda: verify_dirichlet_complement(BASE232, 2, range(BASE232.cumprod[2])), COMPOSED),
+    (summability, "t_kernel", _scaled_table,
+     lambda: verify_block_kernel_split(make_weights("cesaro", alpha=0.5), BASE232, 2), COMPOSED),
 ], ids=["orthonormality", "dirichlet_integral", "abel_prefix_sum", "kernel_abel",
-        "kernel_mass", "mean_paths", "mean_paths_stream"])
+        "kernel_mass", "mean_paths", "mean_paths_stream", "dirichlet_complement",
+        "dirichlet_complement_psi", "block_kernel_split"])
 def test_shared_check_sees_a_fault(monkeypatch, owner, name, fault, residual, tolerance):
     assert residual() <= tolerance
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))

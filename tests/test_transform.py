@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vilenkin import transform
 from vilenkin.analysis import lp_norm
-from vilenkin.group import GroupPoint, VilenkinBase
+from vilenkin.group import GroupPoint, VilenkinBase, decode_index
 from vilenkin.transform import (
     Spectrum,
     StepFunction,
@@ -80,6 +81,18 @@ class TestCharacters:
             for rank in range(BASE232.size):
                 x = GroupPoint.from_rank(BASE232, rank)
                 assert block[n, rank] == pytest.approx(character(n, x), abs=EXACT)
+
+    @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2", "7,3"])
+    def test_values_gather_the_root_table(self, spec):
+        # row n_k of the DFT table at x_k holds the root indexed by (n_k x_k) mod m_k
+        base = VilenkinBase.parse(spec)
+        for n in range(base.size):
+            literal = np.ones(base.size, dtype=np.complex128)
+            for k, n_k in enumerate(decode_index(n, base)):
+                if n_k:
+                    m = base.radices[k]
+                    literal *= transform._unit_roots(m)[(n_k * base.digit_table[:, k]) % m]
+            assert np.array_equal(character_values(base, n).view(float), literal.view(float))
 
     def test_orthonormality_exhaustive(self):
         for base in (BASE232, VilenkinBase.parse("3,3,3"), VilenkinBase.parse("2,2,2,2")):
@@ -166,6 +179,21 @@ class TestStages:
             hadamard = np.kron(hadamard, [[1, 1], [1, -1]])
         coeffs = np.random.default_rng(1).integers(-9, 10, base.size).astype(complex)
         np.testing.assert_array_equal(inverse(Spectrum(base, coeffs)).values, hadamard @ coeffs)
+
+    @pytest.mark.parametrize("sign", [-1, +1])
+    @pytest.mark.parametrize("spec", ["2", "3", "5", "7", "16", "2,3,5", "5,2"])
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_row_axis_equals_one_row_calls(self, spec, rows, sign):
+        # a (rows, M_N) stack gives each row the bits of a call on it alone
+        base = VilenkinBase.parse(spec).with_depth(3)
+        rng = np.random.default_rng(rows)
+        stack = rng.uniform(-1, 1, (rows, base.size)) + 1j * rng.uniform(-1, 1, (rows, base.size))
+        out = transform._separable_apply(base, stack, sign)
+        assert out.shape == (rows, base.size)
+        for row, got in zip(stack, out):
+            alone = transform._separable_apply(base, row, sign)
+            assert alone.shape == (base.size,)
+            assert np.array_equal(got.view(float), alone.view(float))
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(radices=radix_lists(), seed=st.integers(0, 2**32 - 1))
