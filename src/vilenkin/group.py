@@ -78,18 +78,6 @@ class VilenkinBase:
         table.setflags(write=False)
         return table
 
-    @cached_property
-    def _radix_row(self) -> np.ndarray:
-        row = np.array(self.radices, dtype=np.int64)
-        row.setflags(write=False)
-        return row
-
-    @cached_property
-    def _place_values(self) -> np.ndarray:
-        col = np.array(self.cumprod[:-1], dtype=np.int64)
-        col.setflags(write=False)
-        return col
-
     def spec(self) -> str:
         """Comma-separated radix list, the inverse of :meth:`parse`."""
         return ",".join(str(m) for m in self.radices)
@@ -234,10 +222,32 @@ def order_stats(n: int, base: VilenkinBase) -> tuple[int, int]:
 
 
 def shift_table(base: VilenkinBase, t_rank: int) -> np.ndarray:
-    """Ranks of x - t for every rank x, as one permutation array."""
-    t_digits = np.asarray(decode_index(t_rank, base), dtype=np.int64)
-    diff = (base.digit_table - t_digits) % base._radix_row
-    return diff @ base._place_values
+    """Ranks of x - t for every rank x, as one permutation array (one :func:`_translates` step)."""
+    return next(_translates(base, [t_rank]))
+
+
+def _translates(base: VilenkinBase, t_ranks):
+    """Yield the ranks of x - t for every rank x, for each t of ``t_ranks`` in turn.
+
+    rank(x - t) = sum_k ((x_k - t_k) mod m_k) M_k, so each table is a sum of
+    one integer column per digit; column (k, a) is built the first time a t
+    with t_k = a needs it and reused for every later t.
+    """
+    columns: dict[tuple[int, int], np.ndarray] = {}
+
+    def column(k: int, a: int) -> np.ndarray:
+        col = columns.get((k, a))
+        if col is None:
+            m = base.radices[k]
+            col = columns[k, a] = (base.digit_table[:, k] - a) % m * base.cumprod[k]
+        return col
+
+    for t_rank in t_ranks:
+        digits = decode_index(t_rank, base)
+        ranks = column(0, digits[0]).copy()
+        for k in range(1, base.depth):
+            ranks += column(k, digits[k])
+        yield ranks
 
 
 def negate_rank(base: VilenkinBase, t_rank: int) -> int:

@@ -30,10 +30,12 @@ the alternate evaluation
 where sigma_j is the Fejer mean; means are evaluated through all three
 routes (direct, kernel multiplier, Abel).  The direct and Abel routes are
 one literal character stream: psi_{k-1}, S_k and k sigma_k are built once
-per k, and each requested (family, order) row, kept sorted by its number of
+per k, psi_{k-1} as the product of one cached row psi_{a M_j} per nonzero
+digit, and each requested (family, order) row, kept sorted by its number of
 weights, takes its k-th terms while it has them, so the live rows are a
 suffix.  ``mean`` runs it for one row; the mean-path and kernel Abel checks
-run it once for every family and order.  The ``verify_*`` functions return
+run it once for every family and order.  The scalar Abel check rebuilds
+every Q_n from two cumulative sums of q.  The ``verify_*`` functions return
 the residual of one identity each, with no tolerance: ``vilenkin verify`` and
 the test suite call the same functions and keep their own thresholds.
 """
@@ -89,6 +91,8 @@ class WeightSequence:
 
     def q_prefix(self, n: int) -> np.ndarray:
         """Array (q_0, ..., q_{n-1})."""
+        if n < 0:
+            raise ValueError(f"prefix length must be >= 0, got {n}")
         self._ensure(n)
         return self._q[:n].copy()
 
@@ -101,6 +105,8 @@ class WeightSequence:
 
     def Q_prefix(self, n: int) -> np.ndarray:
         """Array (Q_0, ..., Q_n)."""
+        if n < 0:
+            raise ValueError(f"prefix length must be >= 0, got {n}")
         self._ensure(n)
         return self._Q[: n + 1].copy()
 
@@ -233,6 +239,8 @@ def regularity_check(w: WeightSequence, horizon: int) -> RegularityReport:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = ns * q / Q[1:]
     valid = Q[1:] > 0
+    if not valid.any():
+        raise ValueError(f"no order n <= {horizon} has Q_n > 0 for {w.kind}")
     ratios = ratios[valid]
     half = max(1, len(ratios) // 2)
     return RegularityReport(
@@ -372,16 +380,53 @@ def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
     return q[::-1] if w.mean_type == "norlund" else q[1:]
 
 
+def _characters(base: VilenkinBase, count: int):
+    """Yield psi_0 .. psi_{count-1} over every rank, each valid until the next step.
+
+    psi_0 and each digit row psi_{a M_j}, built the first time an index has
+    digit a at place j, come from :func:`character_values`.  Every other psi_k
+    is the product of the rows of its nonzero digits in increasing place
+    order, the order in which :func:`character_values` multiplies them, so it
+    has the same bits.
+    """
+    product = np.empty(base.size, dtype=np.complex128)
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    digits = [0] * base.depth  # of k
+
+    def row(j: int, a: int) -> np.ndarray:
+        if (j, a) not in rows:
+            rows[j, a] = character_values(base, a * base.cumprod[j])
+            rows[j, a].setflags(write=False)  # a one-digit psi_k is the row itself
+        return rows[j, a]
+
+    for _ in range(count):
+        places = [(j, a) for j, a in enumerate(digits) if a]
+        if not places:
+            yield character_values(base, 0)
+        elif len(places) == 1:
+            yield row(*places[0])
+        else:
+            psi = np.multiply(row(*places[0]), row(*places[1]), out=product)
+            for place in places[2:]:
+                psi *= row(*place)
+            yield psi
+        for j, m in enumerate(base.radices):  # digits of k + 1
+            digits[j] = (digits[j] + 1) % m
+            if digits[j]:
+                break
+
+
 def _character_stream(base: VilenkinBase, coeffs: np.ndarray):
-    """Yield (k, S_k, k sigma_k) for k = 1 .. len(coeffs), building psi_{k-1} once per step.
+    """Yield (k, S_k, k sigma_k) for k = 1 .. len(coeffs), taking psi_{k-1} from :func:`_characters`.
 
     S_k = sum_{j<k} coeffs[j] psi_j and k sigma_k = sum_{j<=k} S_j are updated
     in place, so each yielded array is valid until the next step.
     """
     running = np.zeros(base.size, dtype=np.complex128)  # S_k
     block = np.zeros(base.size, dtype=np.complex128)  # k * sigma_k
-    for k, coefficient in enumerate(coeffs, start=1):
-        running += coefficient * character_values(base, k - 1)
+    psis = _characters(base, len(coeffs))
+    for k, (coefficient, psi) in enumerate(zip(coeffs, psis), start=1):
+        running += coefficient * psi
         block += running
         yield k, running, block
 
@@ -486,18 +531,21 @@ def verify_abel_prefix_sum(w: WeightSequence, horizon: int) -> float:
     """Largest relative residual of Q_n = q_0 n + sum_{i=1}^{n-1} (q_i - q_{i-1}) (n - i).
 
     The scalar Abel rearrangement, over every order n <= horizon with
-    Q_n > 0; it holds for any sequence.
+    Q_n > 0; it holds for any sequence.  With d_i = q_i - q_{i-1}, the sum is
+    n A_n - B_n for the prefix sums A_n of d_i and B_n of i d_i, so every
+    order comes from two cumulative sums of q alone, never from Q.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     q = w.q_prefix(horizon)
-    Q = w.Q_prefix(horizon)
-    worst = 0.0
-    for n in range(1, horizon + 1):
-        if Q[n] <= 0:
-            continue
-        i = np.arange(1, n)
-        rebuilt = q[0] * n + float(np.sum((q[i] - q[i - 1]) * (n - i)))
-        worst = max(worst, abs(rebuilt - Q[n]) / Q[n])
-    return float(worst)
+    Q = w.Q_prefix(horizon)[1:]
+    n = np.arange(1, horizon + 1, dtype=float)
+    d = np.diff(q)  # d_1 .. d_{horizon-1}
+    A = np.concatenate([[0.0], np.cumsum(d)])
+    B = np.concatenate([[0.0], np.cumsum(n[:-1] * d)])
+    rebuilt = q[0] * n + n * A - B
+    live = Q > 0
+    return float(np.max(np.abs(rebuilt[live] - Q[live]) / Q[live], initial=0.0))
 
 
 def verify_kernel_abel(families, base: VilenkinBase, orders) -> list[float]:

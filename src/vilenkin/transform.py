@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import GroupPoint, VilenkinBase, decode_index, shift_table
+from .group import GroupPoint, VilenkinBase, _translates, decode_index
 
 
 @dataclass(frozen=True)
@@ -240,15 +240,18 @@ def forward_naive_batch(base: VilenkinBase, values: np.ndarray) -> np.ndarray:
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
-    """(f * g)(x) = (1/M_N) * sum_t f(x - t) g(t), by direct summation."""
+    """(f * g)(x) = (1/M_N) * sum_t f(x - t) g(t), by direct summation.
+
+    The terms are added in increasing t over the nonzero g(t); each x - t
+    table comes from :func:`group._translates`, which builds every digit
+    column once, and never from the transform.
+    """
     _check_same_base(f, g)
     base = f.base
     out = np.zeros(base.size, dtype=np.complex128)
-    for t in range(base.size):
-        gt = g.values[t]
-        if gt == 0:
-            continue
-        out += gt * f.values[shift_table(base, t)]
+    support = np.flatnonzero(g.values)
+    for t, ranks in zip(support, _translates(base, support)):
+        out += g.values[t] * f.values[ranks]
     return StepFunction(base, out / base.size)
 
 

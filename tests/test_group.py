@@ -18,6 +18,7 @@ from vilenkin.group import (
     negate_rank,
     order_stats,
     shift_table,
+    _translates,
 )
 
 BASE23 = VilenkinBase.parse("2,3")
@@ -141,6 +142,18 @@ class TestGroupArithmetic:
             for x in range(BASE232.size):
                 xp = GroupPoint.from_rank(BASE232, x)
                 assert table[x] == group_sub(xp, tp).rank
+
+    @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2", "7,3", "2,2,2,2,2,2"])
+    def test_translates_match_pointwise_sub(self, spec):
+        # every t, shuffled and repeated, so cached digit columns are reused out of order
+        base = VilenkinBase.parse(spec)
+        t_ranks = np.random.default_rng(3).permutation(np.tile(np.arange(base.size), 2))
+        points = [GroupPoint.from_rank(base, r) for r in range(base.size)]
+        for t, table in zip(t_ranks, _translates(base, t_ranks)):
+            expected = np.array([group_sub(x, points[t]).rank for x in points])
+            assert table.dtype == np.int64
+            assert np.array_equal(table, expected)
+            assert np.array_equal(shift_table(base, t), expected)
 
     def test_negate_rank(self):
         zero = GroupPoint.zero(BASE232)

@@ -145,6 +145,14 @@ class TestWeights:
             weights_from_spec(spec)
         assert str(info.value) == f"bad weight spec {spec!r}; expected {usage!r}"
 
+    def test_negative_prefix_length_rejected(self):
+        # after a long prefix is cached, a negative length must not slice it from the end
+        w = make_weights("cesaro", alpha=0.5)
+        assert len(w.Q_prefix(100)) == 101
+        for prefix in (w.q_prefix, w.Q_prefix):
+            with pytest.raises(ValueError, match="prefix length must be >= 0, got -2"):
+                prefix(-2)
+
     @pytest.mark.parametrize("mean_type", ["Norlund", "fejer", "", None])
     def test_unknown_mean_type_rejected(self, mean_type):
         # Both mean routes dispatch on mean_type; an unknown tag must not reach them.
@@ -174,6 +182,11 @@ class TestRegularity:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             regularity_check(make_weights("constant"), 1)
+
+    def test_no_positive_prefix_sum_names_family_and_horizon(self):
+        # blog:0.5:1 has q_0 = q_1 = 0, so Q_1 = Q_2 = 0
+        with pytest.raises(ValueError, match=r"no order n <= 2 has Q_n > 0 for blog:0\.5:1"):
+            regularity_check(make_weights("blog", alpha=0.5, beta=1), 2)
 
 
 class TestDirichlet:
@@ -463,6 +476,33 @@ class TestAbelIdentities:
         # Q_n = sum_{j<n} (q_{n-j} - q_{n-j-1}) * j + q_0 * n, any sequence
         assert verify_abel_prefix_sum(weights_from_spec(spec), 512) <= COMPOSED
 
+    @pytest.mark.parametrize("horizon", (512, 4096))
+    @pytest.mark.parametrize("spec", ALL_FAMILIES)
+    def test_prefix_sum_matches_a_per_order_loop(self, spec, horizon):
+        # the residual of the cumulative-sum form against the O(horizon^2) sum per order
+        w = weights_from_spec(spec)
+        q = w.q_prefix(horizon)
+        Q = w.Q_prefix(horizon)
+        loop = 0.0
+        for n in range(1, horizon + 1):
+            if Q[n] > 0:
+                i = np.arange(1, n)
+                rebuilt = q[0] * n + float(np.sum((q[i] - q[i - 1]) * (n - i)))
+                loop = max(loop, abs(rebuilt - Q[n]) / Q[n])
+        # The cumulative sums are never looser than the loop by more than 1e-13.
+        # The loop's own roundoff grows with the horizon (2.3e-13 for the log
+        # families at 4096, where the cumulative sums give 4.8e-15), so only 512
+        # is held both ways.
+        residual = verify_abel_prefix_sum(w, horizon)
+        assert residual <= loop + 1e-13
+        if horizon == 512:
+            assert loop <= residual + 1e-13
+
+    @pytest.mark.parametrize("horizon", (0, -5))
+    def test_prefix_sum_horizon_validation(self, horizon):
+        with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+            verify_abel_prefix_sum(make_weights("constant"), horizon)
+
     @pytest.mark.parametrize("spec", ("constant", "cesaro:0.5", "valpha:0.5", "norlund_log"))
     def test_kernel_rebuild_from_fejer(self, spec):
         # F_n = (1/Q_n) ( sum_j (q_{n-j} - q_{n-j-1}) j K_j + q_0 n K_n )
@@ -479,6 +519,49 @@ class TestAbelIdentities:
         orders = (3, 7, 12)
         alone = [max(verify_kernel_abel([w], BASE232, [n])[0] for n in orders) for w in families]
         assert verify_kernel_abel(families, BASE232, orders) == alone
+
+
+STREAM_BASES = ("2,3,2", "5,2,2", "7,3", "2,2,2,2,2,2,2,2")
+
+
+class TestCharacterStream:
+    @pytest.mark.parametrize("spec", STREAM_BASES)
+    def test_characters_equal_character_values(self, spec):
+        base = VilenkinBase.parse(spec)
+        psis = summability._characters(base, base.size)
+        for k, psi in enumerate(psis):
+            assert np.array_equal(psi.view(float), character_values(base, k).view(float))
+
+    def _counted(self, monkeypatch):
+        args = []
+
+        def counted(base, n):
+            args.append(n)
+            return character_values(base, n)
+
+        monkeypatch.setattr(summability, "character_values", counted)
+        return args
+
+    @pytest.mark.parametrize("spec", STREAM_BASES)
+    def test_one_character_row_per_digit(self, monkeypatch, spec):
+        # psi_0 and one row per (place, nonzero digit), not one character per k
+        base = VilenkinBase.parse(spec)
+        args = self._counted(monkeypatch)
+        for _ in summability._character_stream(base, np.ones(base.size)):
+            pass
+        assert len(args) <= 1 + sum(m - 1 for m in base.radices)
+
+    @pytest.mark.parametrize("spec", STREAM_BASES)
+    def test_short_stream_builds_no_higher_row(self, monkeypatch, spec):
+        base = VilenkinBase.parse(spec)
+        args = self._counted(monkeypatch)
+        for n_max in (1, 2, 5, base.size // 3, base.size - 1):
+            args.clear()
+            for _ in summability._character_stream(base, np.ones(n_max)):
+                pass
+            # M_{j+1} for the top nonzero digit place j of n_max - 1
+            limit = next(m_j for m_j in base.cumprod if m_j > n_max - 1)
+            assert max(args) < limit
 
 
 class TestComplementIdentity:
@@ -597,6 +680,15 @@ def _shifted_entry(Q_prefix):
     return faulty
 
 
+def _scaled_middle_entry(q_prefix):
+    def faulty(self, n):
+        q = q_prefix(self, n)
+        q[n // 2] *= FAULT
+        return q
+
+    return faulty
+
+
 def _scaled_table(make_table):
     def faulty(*args):
         table = make_table(*args)
@@ -631,6 +723,8 @@ def _scaled_psi_top(character_values):
      lambda: verify_dirichlet_integral(BASE232), EXACT),
     (WeightSequence, "Q_prefix", _shifted_entry,
      lambda: verify_abel_prefix_sum(make_weights("cesaro", alpha=0.5), 64), COMPOSED),
+    (WeightSequence, "q_prefix", _scaled_middle_entry,
+     lambda: verify_abel_prefix_sum(make_weights("cesaro", alpha=0.5), 64), COMPOSED),
     (summability, "norlund_kernel", _scaled_table,
      lambda: verify_kernel_abel([make_weights("valpha", alpha=0.5)], BASE232, [7])[0], COMPOSED),
     (summability, "kernel_for", _scaled_table,
@@ -647,7 +741,7 @@ def _scaled_psi_top(character_values):
      lambda: verify_dirichlet_complement(BASE232, 2, range(BASE232.cumprod[2])), COMPOSED),
     (summability, "t_kernel", _scaled_table,
      lambda: verify_block_kernel_split(make_weights("cesaro", alpha=0.5), BASE232, 2), COMPOSED),
-], ids=["orthonormality", "dirichlet_integral", "abel_prefix_sum", "kernel_abel",
+], ids=["orthonormality", "dirichlet_integral", "abel_prefix_sum", "abel_prefix_sum_q", "kernel_abel",
         "kernel_mass", "mean_paths", "mean_paths_stream", "dirichlet_complement",
         "dirichlet_complement_psi", "block_kernel_split"])
 def test_shared_check_sees_a_fault(monkeypatch, owner, name, fault, residual, tolerance):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vilenkin import transform
 from vilenkin.analysis import lp_norm
-from vilenkin.group import GroupPoint, VilenkinBase, decode_index
+from vilenkin.group import GroupPoint, VilenkinBase, decode_index, shift_table
 from vilenkin.transform import (
     Spectrum,
     StepFunction,
@@ -278,6 +278,20 @@ class TestConvolution:
     def test_base_mismatch(self):
         with pytest.raises(ValueError):
             convolve(random_step(BASE232, 0), random_step(VilenkinBase.parse("2,3"), 0))
+
+    @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2", "7,3", "2,2,2,2,2,2"])
+    def test_equals_a_shift_table_loop(self, spec):
+        # the same terms in the same order as one shift_table per nonzero g(t)
+        base = VilenkinBase.parse(spec)
+        f = random_step(base, 21)
+        g_values = random_step(base, 22).values.copy()
+        g_values[::3] = 0
+        g = StepFunction(base, g_values)
+        out = np.zeros(base.size, dtype=np.complex128)
+        for t in range(base.size):
+            if g.values[t] != 0:
+                out += g.values[t] * f.values[shift_table(base, t)]
+        assert np.array_equal(convolve(f, g).values.view(float), (out / base.size).view(float))
 
 
 class TestSerialization:
