@@ -4,6 +4,12 @@ Everything here is an exact finite computation on depth-N step data: Lp
 norms are finite sums, weak quasi-norms take their supremum over the
 (finite) value set of the function, and the convergence sweep tabulates
 mean-vs-function errors for the experiment runner.
+
+The sweep and the restricted maximal operators transform f once and take
+every order as a row of :func:`~vilenkin.summability._synthesize`, which
+runs the rows through the stage engine in chunks of about 2^14 values; each
+row has the bits of a one-order call.  The sweep takes |t_n f - f| once per
+row and evaluates each p on it with the 1-D arithmetic of :func:`lp_norm`.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from .summability import (
     WeightSequence,
     _character_stream,
     _check_mean,
-    _multiply,
     _profile,
+    _synthesize,
     make_weights,
 )
 from .transform import StepFunction, _write_text, forward
@@ -31,9 +37,17 @@ def lp_norm(f: StepFunction, p: float) -> float:
     A finite p is evaluated on g = |f| / max|f| as max|f| * ||g||_p, so that
     the powers can neither underflow nor overflow at large p.
     """
+    _check_exponent(p)
+    return _lp(np.abs(f.values), p)
+
+
+def _check_exponent(p: float) -> None:
     if not p >= 1:  # also rejects nan
         raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
-    magnitudes = np.abs(f.values)
+
+
+def _lp(magnitudes: np.ndarray, p: float) -> float:
+    """:func:`lp_norm` of a function from its 1-D array of magnitudes |f|."""
     top = float(np.max(magnitudes))
     if p == math.inf or top == 0.0:
         return top
@@ -107,8 +121,8 @@ def restricted_maximal(
 
     Families: "S_at_Mn" (partial sums), "L_at_Mn" (logarithmic Norlund
     means), "t_at_Mn" (the means of ``weights``).  Orders with a degenerate
-    weight prefix are skipped.  f is transformed once; each order is one
-    synthesis on its spectrum.
+    weight prefix are skipped.  f is transformed once, and the block orders
+    are the rows of one chunked synthesis on its spectrum.
     """
     base = f.base
     if family == "L_at_Mn":
@@ -125,10 +139,9 @@ def restricted_maximal(
         )
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {MAXIMAL_FAMILIES}")
-    coeffs = forward(f).coeffs
     sup = np.zeros(base.size)
-    for p in profiles:
-        sup = np.maximum(sup, np.abs(_multiply(base, coeffs, [p])[0]))
+    for level in _synthesize(base, forward(f).coeffs, profiles):
+        np.maximum(sup, np.abs(level), out=sup)
     return StepFunction(base, sup)
 
 
@@ -138,8 +151,11 @@ def full_maximal_fejer(f: StepFunction, n_max: int) -> StepFunction:
     if not 1 <= n_max <= base.size:
         raise ValueError(f"maximal order {n_max} outside [1, {base.size}]")
     sup = np.zeros(base.size)
+    sigma = np.empty(base.size)  # |sigma_n f|, one buffer for every n
     for n, _, block in _character_stream(base, forward(f).coeffs[:n_max]):
-        sup = np.maximum(sup, np.abs(block) / n)
+        np.abs(block, out=sigma)
+        sigma /= n
+        np.maximum(sup, sigma, out=sup)
     return StepFunction(base, sup)
 
 
@@ -172,39 +188,49 @@ def convergence_sweep(
     """Tabulate ||t_n f - f||_p and pointwise errors over the grid.
 
     Whenever an order n equals some block size M_r, a companion record for
-    the partial sum S_n is emitted as well (mean_kind "partial_sum").  f is
-    transformed once; each mean and partial sum is one synthesis on its
-    spectrum, the kernel route of :func:`~vilenkin.summability.mean`.
+    the partial sum S_n is emitted as well (mean_kind "partial_sum").  Every
+    order, exponent and point is checked first.  f is then transformed once,
+    and the means and partial sums are the rows of one chunked synthesis on
+    its spectrum, each with the bits of the kernel route of
+    :func:`~vilenkin.summability.mean`.  Each row's |t_n f - f| is taken once
+    and serves every exponent.
     """
     base = f.base
+    orders = [int(n) for n in n_list]
+    p_list = list(p_list)
     points = list(points or [])
+    for n in orders:
+        _check_mean(base, w, n)
+    for p in p_list:
+        _check_exponent(p)
     for rank in points:
         if not 0 <= rank < base.size:
             raise ValueError(f"point rank {rank} outside [0, {base.size})")
     blocks = set(base.cumprod)
-    coeffs = forward(f).coeffs
-    records = []
-    for n in n_list:
-        n = int(n)
-        _check_mean(base, w, n)
-        targets = [(w.kind, _profile(w.mean_type, w, n))]
+    rows = []  # (mean_kind, n), in record order
+    for n in orders:
+        rows.append((w.kind, n))
         if n in blocks:
-            targets.append(("partial_sum", _profile("dirichlet", None, n)))
-        for kind, profile in targets:
-            residual = StepFunction(base, _multiply(base, coeffs, [profile])[0] - f.values)
-            point_errors = {
-                rank: float(abs(residual.values[rank])) for rank in points
-            }
-            for p in p_list:
-                records.append(
-                    ConvergenceRecord(
-                        mean_kind=kind,
-                        n=n,
-                        p=float(p),
-                        error=lp_norm(residual, p),
-                        point_errors=point_errors,
-                    )
+            rows.append(("partial_sum", n))
+    profiles = (
+        _profile("dirichlet", None, n) if kind == "partial_sum" else _profile(w.mean_type, w, n)
+        for kind, n in rows
+    )
+    records = []
+    for (kind, n), synthesized in zip(rows, _synthesize(base, forward(f).coeffs, profiles)):
+        residual = synthesized - f.values
+        point_errors = {rank: float(abs(residual[rank])) for rank in points}
+        magnitudes = np.abs(residual)
+        for p in p_list:
+            records.append(
+                ConvergenceRecord(
+                    mean_kind=kind,
+                    n=n,
+                    p=float(p),
+                    error=_lp(magnitudes, p),
+                    point_errors=point_errors,
                 )
+            )
     return records
 
 

@@ -14,6 +14,7 @@ given on the command line win.  Exit codes: 0 ok, 1 tolerance failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -362,14 +363,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by every later one."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.config:
-            # The config sets the chosen subcommand's defaults, and flags still win.
-            args.parser.set_defaults(**_read_config(args.config))
+            # The config sets the chosen subcommand's defaults on a tree of
+            # this run's own, so they never reach a later call; flags still win.
+            parser = _build_parser()
+            config = _read_config(args.config)
+            parser.parse_args(argv).parser.set_defaults(**config)
             args = parser.parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -19,9 +19,13 @@ so that the mean is convolution of f with its kernel.  D_0 is the empty sum
 the stage engine in one call.  A kernel is the profile on the unit spectrum;
 the "kernel" route of ``mean`` and ``partial_sum`` put it on f's spectrum,
 one forward transform and one synthesis, with no kernel table in between.
-The one-order functions are the one-row case; the Dirichlet complement check
-synthesizes all D_n of a level in one call, and the mean-path check all
-kernel-route rows of one forward transform of f.  The Abel rearrangement gives
+The one-order functions are the one-row case.  ``_synthesize`` runs a longer
+stack through ``_multiply`` in chunks of about ``_CHUNK_VALUES`` values: the
+D_n of a level in the Dirichlet complement check, the kernels of
+``kernel_l1_profile`` and ``fejer_domination_constant``, and the rows of the
+sweep and the restricted maximal operators in ``analysis``.  The mean-path
+check takes all kernel-route rows of one forward transform of f in one
+call.  The Abel rearrangement gives
 the alternate evaluation
 
     t_n f = (1/Q_n) * ( sum_{j=1}^{n-1} (q_{n-j} - q_{n-j-1}) * j * sigma_j f
@@ -42,6 +46,7 @@ the test suite call the same functions and keep their own thresholds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -276,6 +281,11 @@ def _profile(kind: str, w: WeightSequence | None, n: int) -> np.ndarray:
     return (Q[n:0:-1] if kind == "norlund" else Q[n] - Q[1:]) / Q[n]
 
 
+# Complex values per stage-engine call of _synthesize (~256 KiB): a whole
+# 64-order stack at M_N = 4096 runs slower than one call per order.
+_CHUNK_VALUES = 1 << 14
+
+
 def _multiply(base: VilenkinBase, coeffs: np.ndarray, profiles) -> np.ndarray:
     """The one synthesis: row i is the spectrum ``coeffs[:len(p_i)] * p_i``, zero above, inverted.
 
@@ -291,6 +301,19 @@ def _multiply(base: VilenkinBase, coeffs: np.ndarray, profiles) -> np.ndarray:
     if len(product) == 1:
         return inverse(Spectrum(base, product[0])).values[None]
     return _separable_apply(base, product, +1)
+
+
+def _synthesize(base: VilenkinBase, coeffs: np.ndarray, profiles):
+    """Yield the rows of :func:`_multiply` over ``profiles``, one call per chunk of rows.
+
+    A chunk holds about ``_CHUNK_VALUES`` values (at least one row), and the
+    profiles are drawn lazily, so a long stack never lives in memory at once.
+    Each row has the bits of a one-row call.
+    """
+    profiles = iter(profiles)
+    step = max(1, _CHUNK_VALUES // base.size)
+    while chunk := list(itertools.islice(profiles, step)):
+        yield from _multiply(base, coeffs, chunk)
 
 
 def _kernel(kind: str, w: WeightSequence | None, base: VilenkinBase, n: int) -> StepFunction:
@@ -486,8 +509,8 @@ def verify_dirichlet_complement(base: VilenkinBase, r: int, offsets) -> float:
         if not 0 <= j < m_r:
             raise ValueError(f"offset {j} outside [0, {m_r})")
     orders = sorted({m_r, *offsets, *(m_r - j for j in offsets)})
-    profiles = [_profile("dirichlet", None, n) for n in orders]
-    tables = dict(zip(orders, _multiply(base, np.ones(m_r), profiles)))
+    profiles = (_profile("dirichlet", None, n) for n in orders)
+    tables = dict(zip(orders, _synthesize(base, np.ones(m_r), profiles)))
     psi = character_values(base, m_r - 1)
     return max(
         (_deviation(tables[m_r - j], tables[m_r] - psi * np.conj(tables[j])) for j in offsets),
@@ -613,12 +636,13 @@ def verify_mean_paths(f: StepFunction, families, orders) -> list[float]:
 def kernel_l1_profile(
     w: WeightSequence, base: VilenkinBase, n_list
 ) -> list[tuple[int, float]]:
-    """L1 norms of the family's kernel at each requested order."""
-    out = []
-    for n in n_list:
-        table = kernel_for(w, base, int(n))
-        out.append((int(n), float(np.abs(table.values).mean())))
-    return out
+    """L1 norms of the family's kernel at each requested order, synthesized in chunks of orders."""
+    orders = [int(n) for n in n_list]
+    for n in orders:
+        _check_order(base, n)
+    profiles = (_profile(w.mean_type, w, n) for n in orders)
+    tables = _synthesize(base, np.ones(base.size), profiles)
+    return [(n, float(np.abs(table).mean())) for n, table in zip(orders, tables)]
 
 
 def kernel_tail(w: WeightSequence, base: VilenkinBase, n: int, n_cut: int) -> float:
@@ -640,11 +664,14 @@ def fejer_domination_constant(base: VilenkinBase, n: int) -> float:
     """
     _check_order(base, n)
     top, bottom = order_stats(n, base)
-    numerator = n * np.abs(fejer_kernel(base, n).values)
+    blocks = [base.cumprod[level] for level in range(bottom, top + 1)]
+    # K_n and the K_{M_l} of its levels are the rows of one chunked synthesis
+    profiles = (_profile("fejer", None, m) for m in [n, *blocks])
+    tables = _synthesize(base, np.ones(base.size), profiles)
+    numerator = n * np.abs(next(tables))
     denominator = np.zeros(base.size)
-    for level in range(bottom, top + 1):
-        m_l = base.cumprod[level]
-        denominator += m_l * np.abs(fejer_kernel(base, m_l).values)
+    for m_l, table in zip(blocks, tables):
+        denominator += m_l * np.abs(table)
     tiny = 1e-12
     degenerate = denominator <= tiny
     if np.any(degenerate & (numerator > tiny)):

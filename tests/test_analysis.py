@@ -1,12 +1,15 @@
 """Norms, oscillation profiles, maximal operators and sweeps."""
 
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from vilenkin import analysis, summability
 from vilenkin.analysis import (
+    ConvergenceRecord,
     convergence_sweep,
     full_maximal_fejer,
     lebesgue_profile,
@@ -18,8 +21,8 @@ from vilenkin.analysis import (
     weak_lp,
 )
 from vilenkin.group import GroupPoint, VilenkinBase, group_sub
-from vilenkin.summability import make_weights, mean, partial_sum
-from vilenkin.transform import StepFunction, character_values
+from vilenkin.summability import make_weights, mean, partial_sum, weights_from_spec
+from vilenkin.transform import StepFunction, character_values, forward
 
 BASE232 = VilenkinBase.parse("2,3,2")
 EXACT = 1e-12
@@ -306,3 +309,140 @@ class TestConvergenceSweep:
         # per (kind, p): one norm row plus one row per point
         assert len(lines) == 1 + 2 * 2 * (1 + 2)
         assert any(",inf," in line for line in lines[1:])
+
+
+def chunk_rows(base):
+    """Rows per stage-engine call of the chunked synthesis on ``base``."""
+    return max(1, summability._CHUNK_VALUES // base.size)
+
+
+def counted(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSweepChecksFirst:
+    @pytest.mark.parametrize("p_list, bad", [([1, 0.5], "0.5"), ([math.nan], "nan"), ([2, -1], "-1")])
+    def test_bad_exponent_before_any_transform(self, p_list, bad, monkeypatch):
+        forward_calls = counted(monkeypatch, analysis, "forward")
+        multiply_calls = counted(monkeypatch, summability, "_multiply")
+        f = random_step(BASE232, 14)
+        with pytest.raises(ValueError, match=f"^norm exponent must be >= 1 or inf, got {bad}$"):
+            convergence_sweep(f, make_weights("constant"), [1, 2, 4], p_list, [0])
+        assert forward_calls == multiply_calls == []
+
+    @pytest.mark.parametrize("orders, points", [([2, 13], [0]), ([2, 3], [0, 12])])
+    def test_bad_order_or_point_before_any_transform(self, orders, points, monkeypatch):
+        forward_calls = counted(monkeypatch, analysis, "forward")
+        multiply_calls = counted(monkeypatch, summability, "_multiply")
+        with pytest.raises(ValueError, match="outside"):
+            f = random_step(BASE232, 15)
+            convergence_sweep(f, make_weights("constant"), orders, [1], points)
+        assert forward_calls == multiply_calls == []
+
+    def test_counters_see_a_good_sweep(self, monkeypatch):
+        # the patched names are the ones the sweep calls
+        forward_calls = counted(monkeypatch, analysis, "forward")
+        multiply_calls = counted(monkeypatch, summability, "_multiply")
+        convergence_sweep(random_step(BASE232, 16), make_weights("constant"), [1, 2, 4], [1])
+        assert len(forward_calls) == 1 and len(multiply_calls) >= 1
+
+
+def across_chunks(base, step):
+    """Orders whose sweep rows put a block order's mean last in a chunk and leave one row over.
+
+    step - 1 orders off the blocks, then a block order M (its mean row ends the
+    first chunk, its partial-sum row opens the second), then step more: 2 step + 1
+    rows in all.  A small group repeats its orders to fill the chunks.
+    """
+    blocks = set(base.cumprod)
+    plain = itertools.cycle([n for n in range(3, base.size + 1) if n not in blocks])
+    block = next(m for m in base.cumprod if m >= 3)
+    return [*itertools.islice(plain, step - 1), block, *itertools.islice(plain, step)]
+
+
+def per_order_records(f, w, orders, p_list, points):
+    """The sweep as a loop of public one-order calls and lp_norm."""
+    blocks = set(f.base.cumprod)
+    records = []
+    for n in orders:
+        targets = [(w.kind, mean(f, w, n, "kernel"))]
+        if n in blocks:
+            targets.append(("partial_sum", partial_sum(f, n)))
+        for kind, t_n in targets:
+            residual = t_n - f
+            point_errors = {rank: float(abs(residual.values[rank])) for rank in points}
+            for p in p_list:
+                records.append(ConvergenceRecord(kind, n, float(p), lp_norm(residual, p), point_errors))
+    return records
+
+
+class TestRowAxisEqualsPerOrderCalls:
+    @pytest.mark.parametrize(
+        "spec, depth, weights",
+        [
+            ("2", 10, "cesaro:0.5"),
+            ("2,3", 6, "riesz_log"),
+            ("2", 12, "norlund_log"),
+            ("5,2", 4, "blog:0.5:1"),
+        ],
+    )
+    def test_sweep_records_across_chunk_boundaries(self, spec, depth, weights):
+        base = VilenkinBase.parse(spec, depth)
+        w = weights_from_spec(weights)
+        step = chunk_rows(base)
+        orders = across_chunks(base, step)
+        rows = sum(1 + (n in base.cumprod) for n in orders)
+        assert rows == 2 * step + 1 and orders[step - 1] in base.cumprod
+        f = random_step(base, depth)
+        points = [0, 1, base.size - 1]
+        p_list = [1, 2.0, 3, math.inf]
+        records = convergence_sweep(f, w, orders, p_list, points)
+        assert records == per_order_records(f, w, orders, p_list, points)
+
+    def test_sweep_of_many_chunks(self):
+        # M_N = 4096: a chunk holds a few rows, so 1..300 runs through ~75 of them
+        base = VilenkinBase.parse("2", 12)
+        assert chunk_rows(base) < 8
+        f = random_step(base, 3)
+        w = make_weights("constant")
+        orders = range(1, 301)
+        assert convergence_sweep(f, w, orders, [1, math.inf], [7]) == per_order_records(
+            f, w, orders, [1, math.inf], [7]
+        )
+
+    @pytest.mark.parametrize("spec, depth", [("2", 12), ("2,3", 6), ("3", 5)])
+    @pytest.mark.parametrize("family", ["S_at_Mn", "L_at_Mn", "t_at_Mn"])
+    def test_restricted_maximal_equals_per_level_loop(self, spec, depth, family):
+        base = VilenkinBase.parse(spec, depth)
+        f = random_step(base, 17)
+        w = make_weights("norlund_log") if family == "L_at_Mn" else weights_from_spec("blog:0.5:1")
+        sup = np.zeros(base.size)
+        for m_r in base.cumprod:
+            if family == "S_at_Mn":
+                level = partial_sum(f, m_r)
+            elif w.Q(m_r) > 0:
+                level = mean(f, w, m_r, "kernel")
+            else:
+                continue
+            sup = np.maximum(sup, np.abs(level.values))
+        out = restricted_maximal(f, family, w)
+        assert np.array_equal(out.values.view(float), StepFunction(base, sup).values.view(float))
+
+    def test_fejer_maximal_equals_out_of_place_loop(self):
+        # one reused buffer gives the bits of a fresh array per order
+        base = VilenkinBase.parse("2,3", 6)
+        f = random_step(base, 18)
+        sup = np.zeros(base.size)
+        for n, _, block in summability._character_stream(base, forward(f).coeffs):
+            sup = np.maximum(sup, np.abs(block) / n)
+        out = full_maximal_fejer(f, base.size)
+        assert np.array_equal(out.values.view(float), StepFunction(base, sup).values.view(float))

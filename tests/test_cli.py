@@ -3,7 +3,12 @@
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vilenkin import cli
-from vilenkin.analysis import lp_norm
+from vilenkin.analysis import convergence_sweep, lp_norm, records_to_csv
 from vilenkin.corpus import corpus
 from vilenkin.group import VilenkinBase
 from vilenkin.summability import (
@@ -244,6 +249,39 @@ class TestConfigAndUsage:
         assert got == converge("flags.csv", "--base", "2,3", *flags)
         assert got != converge("default-base.csv", *flags)
 
+    def test_config_defaults_stay_in_their_run(self, tmp_path, capsys):
+        # the shared argument tree never sees a config's defaults
+        config = tmp_path / "exp.cfg"
+        config.write_text("base=2,3\nn=1..3\ncorpus=random\nseed=7\n")
+        first, second = tmp_path / "config.csv", tmp_path / "plain.csv"
+        assert cli.main(["converge", "--config", str(config), "--out", str(first)]) == 0
+        assert cli.main(["converge", "--out", str(second)]) == 0
+        capsys.readouterr()
+        expected = io.StringIO()
+        f, w = corpus("smooth2", BASE232), weights_from_spec("constant")
+        records = convergence_sweep(f, w, range(1, 13), [1, 2, math.inf], [0])
+        records_to_csv(records, expected)
+        assert second.read_text() == expected.getvalue()
+        assert {line.split(",")[1] for line in first.read_text().splitlines()[1:]} == {"1", "2", "3"}
+
+    def test_plain_calls_share_one_argument_tree(self, monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(1)
+            return real()
+
+        real = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert cli.main(["converge", "--n", "1..2"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert built == [1]
+
     def test_config_file_sets_kernel_dump(self, tmp_path, capsys):
         config = tmp_path / "dump.cfg"
         config.write_text("base=2,3\nkind=fejer\norder=4\n")
@@ -323,6 +361,24 @@ def run_main(argv):
         except SystemExit as exc:
             code = exc.code
     return code, err.getvalue()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("base, code", [("2,3,2", 0), ("1", 2)])
+def test_python_m_runs_from_an_uninstalled_checkout(base, code, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "vilenkin", "verify", "--base", base],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code == 0:
+        assert "FAIL" not in done.stdout and "PASS orthonormality" in done.stdout
+    else:
+        assert done.stderr.startswith("error:")
 
 
 class TestFileErrors:

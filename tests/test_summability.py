@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vilenkin import summability, transform
-from vilenkin.group import VilenkinBase
+from vilenkin.group import VilenkinBase, order_stats
 from vilenkin.summability import (
     WeightSequence,
     dirichlet,
@@ -618,6 +618,17 @@ class TestKernelMassAndTails:
         values = [v for _, v in kernel_l1_profile(w, base, ns)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("spec, depth", [("2", 12), ("2,3", 6), ("5,2", 4)])
+    @pytest.mark.parametrize("weights", ["cesaro:0.5", "riesz_log"])
+    def test_l1_profile_equals_per_order_kernels(self, spec, depth, weights):
+        # the chunked rows have the bits of one kernel_for call per order
+        base = VilenkinBase.parse(spec, depth)
+        w = weights_from_spec(weights)
+        step = max(1, summability._CHUNK_VALUES // base.size)
+        ns = [2 + (7 * i) % (base.size - 1) for i in range(2 * step + 1)]
+        expected = [(n, float(np.abs(kernel_for(w, base, n).values).mean())) for n in ns]
+        assert kernel_l1_profile(w, base, ns) == expected
+
     def test_tail_mass_shrinks_along_blocks(self):
         w = make_weights("constant")
         tails = [
@@ -631,6 +642,22 @@ class TestKernelMassAndTails:
 
 
 class TestFejerDomination:
+    @pytest.mark.parametrize("spec, depth", [("2", 12), ("2,3", 6), ("3", 5)])
+    def test_equals_per_order_kernels(self, spec, depth):
+        # the level kernels of one chunked synthesis give the per-order bits
+        base = VilenkinBase.parse(spec, depth)
+        for n in sorted({1, 2, 5, base.size // 3, base.size - 1, base.size, *base.cumprod[1:]}):
+            top, bottom = order_stats(n, base)
+            numerator = n * np.abs(fejer_kernel(base, n).values)
+            denominator = np.zeros(base.size)
+            for level in range(bottom, top + 1):
+                m_l = base.cumprod[level]
+                denominator += m_l * np.abs(fejer_kernel(base, m_l).values)
+            live = denominator > 1e-12
+            assert not np.any(~live & (numerator > 1e-12))
+            expected = float(np.max(numerator[live] / denominator[live], initial=0.0))
+            assert fejer_domination_constant(base, n) == expected
+
     def test_block_orders_ratio_at_most_one(self):
         base = VilenkinBase.parse("2,3,2,2")
         for r in range(base.depth + 1):
