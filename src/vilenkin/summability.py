@@ -13,35 +13,20 @@ with matching kernels
 
 so that the mean is convolution of f with its kernel.  D_0 is the empty sum
 (identically 0).  Every such kernel and mean is one spectral multiplier:
-``_profile`` gives the coefficients of psi_0 .. psi_{n-1} (1 for D_n,
-(n-j)/n for K_n, Q_{n-j}/Q_n for F_n, (Q_n - Q_{j+1})/Q_n for F_n^inv), and
-``_multiply`` scales a spectrum by a stack of them and runs every row through
-the stage engine in one call.  A kernel is the profile on the unit spectrum;
-the "kernel" route of ``mean`` and ``partial_sum`` put it on f's spectrum,
-one forward transform and one synthesis, with no kernel table in between.
-The one-order functions are the one-row case.  ``_synthesize`` runs a longer
-stack through ``_multiply`` in chunks of about ``_CHUNK_VALUES`` values: the
-D_n of a level in the Dirichlet complement check, the kernels of
-``kernel_l1_profile`` and ``fejer_domination_constant``, and the rows of the
-sweep and the restricted maximal operators in ``analysis``.  The mean-path
-check takes all kernel-route rows of one forward transform of f in one
-call.  The Abel rearrangement gives
-the alternate evaluation
+``_profile`` gives the coefficients of psi_0 .. psi_{n-1}, and ``_synthesize``
+scales a spectrum by a stack of profiles and inverts the rows in chunks.  A
+kernel is its profile on the unit spectrum; a "kernel"-route mean or partial
+sum is the profile on f's spectrum.  The Abel rearrangement gives the
+alternate evaluation
 
     t_n f = (1/Q_n) * ( sum_{j=1}^{n-1} (q_{n-j} - q_{n-j-1}) * j * sigma_j f
                         + q_0 * n * sigma_n f )
 
-where sigma_j is the Fejer mean; means are evaluated through all three
-routes (direct, kernel multiplier, Abel).  The direct and Abel routes are
-one literal character stream: psi_{k-1}, S_k and k sigma_k are built once
-per k, psi_{k-1} as the product of one cached row psi_{a M_j} per nonzero
-digit, and each requested (family, order) row, kept sorted by its number of
-weights, takes its k-th terms while it has them, so the live rows are a
-suffix.  ``mean`` runs it for one row; the mean-path and kernel Abel checks
-run it once for every family and order.  The scalar Abel check rebuilds
-every Q_n from two cumulative sums of q.  The ``verify_*`` functions return
-the residual of one identity each, with no tolerance: ``vilenkin verify`` and
-the test suite call the same functions and keep their own thresholds.
+where sigma_j is the Fejer mean.  The "direct" and "abel" routes are one
+literal character stream over every requested (family, order) row, which
+never reads the fast transform.  The ``verify_*`` functions return the
+residual of one identity each, with no tolerance: ``vilenkin verify`` and the
+test suite call the same functions and keep their own thresholds.
 """
 
 from __future__ import annotations
@@ -286,40 +271,33 @@ def _profile(kind: str, w: WeightSequence | None, n: int) -> np.ndarray:
 _CHUNK_VALUES = 1 << 14
 
 
-def _multiply(base: VilenkinBase, coeffs: np.ndarray, profiles) -> np.ndarray:
-    """The one synthesis: row i is the spectrum ``coeffs[:len(p_i)] * p_i``, zero above, inverted.
-
-    A stack of profiles is one call of the stage engine, and each row has
-    the bits of a call on it alone.  One profile is the public
-    :func:`inverse`, so a one-order kernel or mean is one inverse transform.
-    A kernel is the multiplier applied to the unit spectrum (coefficients 1),
-    a mean or partial sum the multiplier applied to f's spectrum.
-    """
-    product = np.zeros((len(profiles), base.size), dtype=np.complex128)
-    for row, p in zip(product, profiles):
-        row[: len(p)] = coeffs[: len(p)] * p
-    if len(product) == 1:
-        return inverse(Spectrum(base, product[0])).values[None]
-    return _separable_apply(base, product, +1)
-
-
 def _synthesize(base: VilenkinBase, coeffs: np.ndarray, profiles):
-    """Yield the rows of :func:`_multiply` over ``profiles``, one call per chunk of rows.
+    """The one synthesis: yield each spectrum ``coeffs[:len(p)] * p``, zero above, inverted.
 
-    A chunk holds about ``_CHUNK_VALUES`` values (at least one row), and the
-    profiles are drawn lazily, so a long stack never lives in memory at once.
-    Each row has the bits of a one-row call.
+    A kernel is a profile on the unit spectrum (coefficients 1), a mean or
+    partial sum a profile on f's spectrum.  The profiles are drawn lazily in
+    chunks of about ``_CHUNK_VALUES`` values (at least one row), each chunk
+    one call of the stage engine, and every row has the bits of a call on it
+    alone.  A one-row chunk calls the public :func:`inverse` instead, only so
+    that the span tracer of ``perfbench`` sees the inverse transform under a
+    public kernel builder (its ``summability.kernel.transform_share``).
     """
     profiles = iter(profiles)
     step = max(1, _CHUNK_VALUES // base.size)
     while chunk := list(itertools.islice(profiles, step)):
-        yield from _multiply(base, coeffs, chunk)
+        product = np.zeros((len(chunk), base.size), dtype=np.complex128)
+        for row, p in zip(product, chunk):
+            row[: len(p)] = coeffs[: len(p)] * p
+        if len(product) == 1:
+            yield inverse(Spectrum(base, product[0])).values
+        else:
+            yield from _separable_apply(base, product, +1)
 
 
 def _kernel(kind: str, w: WeightSequence | None, base: VilenkinBase, n: int) -> StepFunction:
     """The order-n kernel of ``kind``: its profile on the unit spectrum, after the order check."""
     _check_order(base, n)
-    return StepFunction(base, _multiply(base, np.ones(n), [_profile(kind, w, n)])[0])
+    return StepFunction(base, next(_synthesize(base, np.ones(n), [_profile(kind, w, n)])))
 
 
 def dirichlet(base: VilenkinBase, n: int) -> StepFunction:
@@ -356,7 +334,7 @@ def partial_sum(f: StepFunction, n: int) -> StepFunction:
     if not 0 <= n <= f.base.size:
         raise ValueError(f"partial-sum order {n} outside [0, {f.base.size}]")
     profile = _profile("dirichlet", None, n)
-    return StepFunction(f.base, _multiply(f.base, forward(f).coeffs, [profile])[0])
+    return StepFunction(f.base, next(_synthesize(f.base, forward(f).coeffs, [profile])))
 
 
 MEAN_METHODS = ("direct", "kernel", "abel")
@@ -373,7 +351,8 @@ def mean(f: StepFunction, w: WeightSequence, n: int, method: str = "direct") -> 
     base = f.base
     _check_mean(base, w, n)
     if method == "kernel":
-        return StepFunction(base, _kernel_means(base, forward(f).coeffs, [(w, n)])[0])
+        profile = _profile(w.mean_type, w, n)
+        return StepFunction(base, next(_synthesize(base, forward(f).coeffs, [profile])))
     if method not in MEAN_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {MEAN_METHODS}")
     direct, abel = _abel_accumulate(base, forward(f).coeffs, [(w, n)])
@@ -386,11 +365,6 @@ def _check_mean(base: VilenkinBase, w: WeightSequence, n: int) -> None:
         raise ValueError(f"mean order {n} outside [1, {base.size}]")
     if w.Q(n) <= 0:
         raise ValueError(f"degenerate weights: Q_{n} = 0 for {w.kind}")
-
-
-def _kernel_means(base: VilenkinBase, coeffs: np.ndarray, rows) -> np.ndarray:
-    """The kernel-route means of the spectrum ``coeffs``, one row per (w, n), in one synthesis."""
-    return _multiply(base, coeffs, [_profile(w.mean_type, w, n) for w, n in rows])
 
 
 def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
@@ -484,8 +458,11 @@ def _abel_accumulate(base: VilenkinBase, coeffs: np.ndarray, rows) -> tuple[np.n
     return direct[back] / q_n, abel[back] / q_n
 
 
-def _live_rows(families, orders) -> list[tuple[int, WeightSequence, int]]:
-    """(family index, w, n) for every order with Q_n > 0: the rows of one stream."""
+def _live_rows(families, base: VilenkinBase, orders) -> list[tuple[int, WeightSequence, int]]:
+    """(family index, w, n) for every order with Q_n > 0, after every order's range check."""
+    orders = list(orders)
+    for n in orders:
+        _check_order(base, n)
     return [(i, w, n) for i, w in enumerate(families) for n in orders if w.Q(n) > 0]
 
 
@@ -579,29 +556,36 @@ def verify_kernel_abel(families, base: VilenkinBase, orders) -> list[float]:
     over the orders with Q_n > 0.  The right side is the Abel route of the
     character stream on the coefficients 1, where S_k = D_k and
     sum_{j<=k} D_j = k K_k, so it is a literal character sum; it is compared
-    with :func:`norlund_kernel`.  Stated for norlund families only.
+    with the F_n of :func:`norlund_kernel`, drawn as the rows of one synthesis.
+    Stated for norlund families only.
     """
     for w in families:
         if w.mean_type != "norlund":
             raise ValueError(f"kernel Abel identity needs a norlund family, got {w.kind}")
-    live = _live_rows(families, orders)
+    live = _live_rows(families, base, orders)
     _, abel = _abel_accumulate(base, np.ones(base.size), [(w, n) for _, w, n in live])
+    kernels = _synthesize(base, np.ones(base.size), (_profile("norlund", w, n) for _, w, n in live))
     worst = [0.0] * len(families)
-    for (i, w, n), rebuilt in zip(live, abel):
-        worst[i] = max(worst[i], _deviation(rebuilt, norlund_kernel(w, base, n).values))
+    for (i, w, n), rebuilt, kernel in zip(live, abel, kernels):
+        worst[i] = max(worst[i], _deviation(rebuilt, kernel))
     return worst
 
 
-def verify_kernel_mass(w: WeightSequence, base: VilenkinBase, n: int) -> float:
-    """Residual of the integral of the family's order-n kernel against its mass.
+def verify_kernel_mass(families, base: VilenkinBase, orders) -> list[float]:
+    """Per family, the largest residual of the integral of its kernel against its mass.
 
-    Each D_k with k >= 1 has unit integral and D_0 = 0, so the norlund kernel
-    has mass 1 and the tmean kernel, which gives D_0 the weight q_0, has
-    mass 1 - q_0/Q_n.
+    Every order with Q_n > 0 is checked, each kernel of :func:`kernel_for` a
+    row of one synthesis.  Each D_k with k >= 1 has unit integral and
+    D_0 = 0, so the norlund kernel has mass 1 and the tmean kernel, which
+    gives D_0 the weight q_0, has mass 1 - q_0/Q_n.
     """
-    table = kernel_for(w, base, n)
-    expected = 1.0 if w.mean_type == "norlund" else 1.0 - w.q(0) / w.Q(n)
-    return abs(table.integral() - expected)
+    live = _live_rows(families, base, orders)
+    profiles = (_profile(w.mean_type, w, n) for _, w, n in live)
+    worst = [0.0] * len(families)
+    for (i, w, n), kernel in zip(live, _synthesize(base, np.ones(base.size), profiles)):
+        expected = 1.0 if w.mean_type == "norlund" else 1.0 - w.q(0) / w.Q(n)
+        worst[i] = max(worst[i], abs(complex(kernel.mean()) - expected))
+    return worst
 
 
 def verify_mean_paths(f: StepFunction, families, orders) -> list[float]:
@@ -613,11 +597,10 @@ def verify_mean_paths(f: StepFunction, families, orders) -> list[float]:
     each family's first such order, the public one-order routes of
     :func:`mean` are also held against their rows of the batch.
     """
-    live = _live_rows(families, orders)
-    rows = [(w, n) for _, w, n in live]
+    live = _live_rows(families, f.base, orders)
     coeffs = forward(f).coeffs
-    direct, abel = _abel_accumulate(f.base, coeffs, rows)
-    spectral = _kernel_means(f.base, coeffs, rows)
+    direct, abel = _abel_accumulate(f.base, coeffs, [(w, n) for _, w, n in live])
+    spectral = _synthesize(f.base, coeffs, (_profile(w.mean_type, w, n) for _, w, n in live))
     worst = [0.0] * len(families)
     seen = set()
     for (i, w, n), exact, rebuilt, multiplied in zip(live, direct, abel, spectral):

@@ -329,31 +329,38 @@ def counted(monkeypatch, module, name):
     return calls
 
 
+def counted_stage_engine(monkeypatch):
+    """Count the stage-engine calls of ``summability._synthesize``, stacked or one-row."""
+    stacked = counted(monkeypatch, summability, "_separable_apply")
+    one_row = counted(monkeypatch, summability, "inverse")
+    return stacked, one_row
+
+
 class TestSweepChecksFirst:
     @pytest.mark.parametrize("p_list, bad", [([1, 0.5], "0.5"), ([math.nan], "nan"), ([2, -1], "-1")])
     def test_bad_exponent_before_any_transform(self, p_list, bad, monkeypatch):
         forward_calls = counted(monkeypatch, analysis, "forward")
-        multiply_calls = counted(monkeypatch, summability, "_multiply")
+        stacked, one_row = counted_stage_engine(monkeypatch)
         f = random_step(BASE232, 14)
         with pytest.raises(ValueError, match=f"^norm exponent must be >= 1 or inf, got {bad}$"):
             convergence_sweep(f, make_weights("constant"), [1, 2, 4], p_list, [0])
-        assert forward_calls == multiply_calls == []
+        assert forward_calls == stacked == one_row == []
 
     @pytest.mark.parametrize("orders, points", [([2, 13], [0]), ([2, 3], [0, 12])])
     def test_bad_order_or_point_before_any_transform(self, orders, points, monkeypatch):
         forward_calls = counted(monkeypatch, analysis, "forward")
-        multiply_calls = counted(monkeypatch, summability, "_multiply")
+        stacked, one_row = counted_stage_engine(monkeypatch)
         with pytest.raises(ValueError, match="outside"):
             f = random_step(BASE232, 15)
             convergence_sweep(f, make_weights("constant"), orders, [1], points)
-        assert forward_calls == multiply_calls == []
+        assert forward_calls == stacked == one_row == []
 
     def test_counters_see_a_good_sweep(self, monkeypatch):
         # the patched names are the ones the sweep calls
         forward_calls = counted(monkeypatch, analysis, "forward")
-        multiply_calls = counted(monkeypatch, summability, "_multiply")
+        stacked, one_row = counted_stage_engine(monkeypatch)
         convergence_sweep(random_step(BASE232, 16), make_weights("constant"), [1, 2, 4], [1])
-        assert len(forward_calls) == 1 and len(multiply_calls) >= 1
+        assert len(forward_calls) == 1 and len(stacked) + len(one_row) >= 1
 
 
 def across_chunks(base, step):

@@ -299,6 +299,14 @@ class TestConfigAndUsage:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [("p=0.5", "p"), ("reps=9", "reps"), ("config=x", "config")])
+    def test_config_key_of_another_subcommand(self, tmp_path, capsys, line, key):
+        # a config sets only the options of its own subcommand, --config aside
+        config = tmp_path / "other.cfg"
+        config.write_text(line + "\n")
+        assert cli.main(["verify", "--config", str(config)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
     def test_unknown_corpus_is_usage_error(self, capsys):
         code = cli.main(["converge", "--base", "2,3", "--corpus", "mystery"])
         assert code == 2

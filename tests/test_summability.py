@@ -39,6 +39,17 @@ EXACT = 1e-12
 COMPOSED = 1e-10
 
 ALL_FAMILIES = ("constant", "cesaro:0.5", "valpha:0.5", "riesz_log", "norlund_log", "blog:0.5:1")
+NORLUND_FAMILIES = ("constant", "cesaro:0.5", "valpha:0.5", "norlund_log")
+GRID_GROUPS = [("2", 12), ("2,3", 6), ("5,2", 4)]
+
+
+def grid_orders(base):
+    """Ten orders for the (family, order) grid checks: 1, eight small ones and M_N // 7.
+
+    The log families are degenerate at 1 and blog:0.5:1 at 1 and 2, so each
+    order but 1 is live for all six families.
+    """
+    return [1, *range(3, 59, 7), base.size // 7]
 
 
 def random_step(base, seed):
@@ -457,7 +468,8 @@ class TestMeans:
         f = random_step(BASE232, 13)
         families = [weights_from_spec(spec) for spec in ALL_FAMILIES]
         rows = [(w, n) for w in families for n in range(1, BASE232.size + 1) if w.Q(n) > 0]
-        batch = summability._kernel_means(BASE232, forward(f).coeffs, rows)
+        profiles = (summability._profile(w.mean_type, w, n) for w, n in rows)
+        batch = np.array(list(summability._synthesize(BASE232, forward(f).coeffs, profiles)))
         assert batch.shape == (len(rows), BASE232.size)
         for (w, n), row in zip(rows, batch):
             assert np.array_equal(mean(f, w, n, "kernel").values.view(float), row.view(float))
@@ -519,6 +531,22 @@ class TestAbelIdentities:
         orders = (3, 7, 12)
         alone = [max(verify_kernel_abel([w], BASE232, [n])[0] for n in orders) for w in families]
         assert verify_kernel_abel(families, BASE232, orders) == alone
+
+    @pytest.mark.parametrize("spec, depth", GRID_GROUPS)
+    def test_grid_equals_the_stream_against_a_kernel_loop(self, spec, depth):
+        # the synthesized F_n have the bits of one norlund_kernel call per order
+        base = VilenkinBase.parse(spec, depth)
+        families = [weights_from_spec(s) for s in NORLUND_FAMILIES]
+        orders = grid_orders(base)
+        rows = [(w, n) for w in families for n in orders if w.Q(n) > 0]
+        _, abel = summability._abel_accumulate(base, np.ones(base.size), rows)
+        loop = {w: 0.0 for w in families}
+        for (w, n), rebuilt in zip(rows, abel):
+            kernel = norlund_kernel(w, base, n).values
+            loop[w] = max(loop[w], float(np.max(np.abs(rebuilt - kernel))))
+        assert verify_kernel_abel(families, base, orders) == list(loop.values())
+        # norlund_log alone has nine live orders: a trailing one-row chunk on 2 x 12
+        assert [verify_kernel_abel([w], base, orders)[0] for w in families] == list(loop.values())
 
 
 STREAM_BASES = ("2,3,2", "5,2,2", "7,3", "2,2,2,2,2,2,2,2")
@@ -628,6 +656,19 @@ class TestKernelMassAndTails:
         ns = [2 + (7 * i) % (base.size - 1) for i in range(2 * step + 1)]
         expected = [(n, float(np.abs(kernel_for(w, base, n).values).mean())) for n in ns]
         assert kernel_l1_profile(w, base, ns) == expected
+
+    @pytest.mark.parametrize("spec, depth", GRID_GROUPS)
+    def test_kernel_mass_grid_equals_a_per_order_loop(self, spec, depth):
+        # 57 live rows: on 2 x 12 (4 rows per chunk) the last chunk has one row
+        base = VilenkinBase.parse(spec, depth)
+        families = [weights_from_spec(s) for s in ALL_FAMILIES]
+        loop = [0.0] * len(families)
+        for i, w in enumerate(families):
+            for n in grid_orders(base):
+                if w.Q(n) > 0:
+                    expected = 1.0 if w.mean_type == "norlund" else 1.0 - w.q(0) / w.Q(n)
+                    loop[i] = max(loop[i], abs(kernel_for(w, base, n).integral() - expected))
+        assert verify_kernel_mass(families, base, grid_orders(base)) == loop
 
     def test_tail_mass_shrinks_along_blocks(self):
         w = make_weights("constant")
@@ -752,10 +793,10 @@ def _scaled_psi_top(character_values):
      lambda: verify_abel_prefix_sum(make_weights("cesaro", alpha=0.5), 64), COMPOSED),
     (WeightSequence, "q_prefix", _scaled_middle_entry,
      lambda: verify_abel_prefix_sum(make_weights("cesaro", alpha=0.5), 64), COMPOSED),
-    (summability, "norlund_kernel", _scaled_table,
+    (summability, "_profile", _scaled_result,
      lambda: verify_kernel_abel([make_weights("valpha", alpha=0.5)], BASE232, [7])[0], COMPOSED),
-    (summability, "kernel_for", _scaled_table,
-     lambda: verify_kernel_mass(make_weights("blog", alpha=0.5, beta=1), BASE232, 7), EXACT),
+    (summability, "_profile", _scaled_result,
+     lambda: verify_kernel_mass([make_weights("blog", alpha=0.5, beta=1)], BASE232, [7])[0], EXACT),
     (summability, "_profile", _scaled_result,
      lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
      COMPOSED),
@@ -775,3 +816,22 @@ def test_shared_check_sees_a_fault(monkeypatch, owner, name, fault, residual, to
     assert residual() <= tolerance
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     assert residual() > tolerance
+
+
+@pytest.mark.parametrize("order", [0, -3, 13])
+@pytest.mark.parametrize("check", [
+    lambda orders: verify_mean_paths(random_step(BASE232, 17), [make_weights("constant")], orders),
+    lambda orders: verify_kernel_abel([make_weights("constant")], BASE232, orders),
+    lambda orders: verify_kernel_mass([make_weights("constant")], BASE232, orders),
+], ids=["mean_paths", "kernel_abel", "kernel_mass"])
+def test_grid_checks_reject_impossible_orders(monkeypatch, check, order):
+    # rejected before any character stream or stage-engine call, next to a good order
+    calls = []
+    for name in ("_character_stream", "_separable_apply", "inverse"):
+        inner = getattr(summability, name)
+        monkeypatch.setattr(
+            summability, name, lambda *args, _name=name, _inner=inner: calls.append(_name) or _inner(*args)
+        )
+    with pytest.raises(ValueError, match=rf"^kernel order {order} outside \[1, 12\]$"):
+        check([3, order])
+    assert calls == []
