@@ -8,6 +8,7 @@ of a depth-N step function is an exact finite sum with weight 1/M_N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -77,6 +78,20 @@ class VilenkinBase:
             table[:, k] = (ranks // self.cumprod[k]) % m
         table.setflags(write=False)
         return table
+
+    @cached_property
+    def _difference_halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Difference tables of the low L and the high N - L digits, the high one times M_L.
+
+        L is the first place with M_L^2 >= M_N, so each table holds about M_N
+        entries.
+        """
+        split = next(k for k, m in enumerate(self.cumprod) if m * m >= self.size)
+        low = _difference_table(self.radices[:split])
+        high = _difference_table(self.radices[split:]) * self.cumprod[split]
+        low.setflags(write=False)
+        high.setflags(write=False)
+        return low, high
 
     def spec(self) -> str:
         """Comma-separated radix list, the inverse of :meth:`parse`."""
@@ -222,32 +237,42 @@ def order_stats(n: int, base: VilenkinBase) -> tuple[int, int]:
 
 
 def shift_table(base: VilenkinBase, t_rank: int) -> np.ndarray:
-    """Ranks of x - t for every rank x, as one permutation array (one :func:`_translates` step)."""
-    return next(_translates(base, [t_rank]))
+    """Ranks of x - t for every rank x, as one permutation array (the one-row :func:`_translates`)."""
+    return _translates(base, [t_rank])[0]
 
 
-def _translates(base: VilenkinBase, t_ranks):
-    """Yield the ranks of x - t for every rank x, for each t of ``t_ranks`` in turn.
+def _translates(base: VilenkinBase, t_ranks) -> np.ndarray:
+    """The (len(t_ranks), M_N) table whose row i holds the ranks of x - t_i.
 
-    rank(x - t) = sum_k ((x_k - t_k) mod m_k) M_k, so each table is a sum of
-    one integer column per digit; column (k, a) is built the first time a t
-    with t_k = a needs it and reused for every later t.
+    Subtraction is coordinatewise, so it never carries between digits: with
+    x = x_low + M_L x_high for the split L of :attr:`VilenkinBase._difference_halves`,
+    rank(x - t) = rank(x_low - t_low) + M_L rank(x_high - t_high), and each
+    block of rows is one broadcast sum of a row of each half's table.
     """
-    columns: dict[tuple[int, int], np.ndarray] = {}
+    t_ranks = np.asarray(t_ranks, dtype=np.int64).reshape(-1)
+    outside = (t_ranks < 0) | (t_ranks >= base.size)
+    if outside.any():
+        raise ValueError(f"index {t_ranks[outside][0]} outside [0, {base.size})")
+    low, high = base._difference_halves
+    m_low = len(low)
+    table = high[t_ranks // m_low][:, :, None] + low[t_ranks % m_low][:, None, :]
+    return table.reshape(len(t_ranks), base.size)
 
-    def column(k: int, a: int) -> np.ndarray:
-        col = columns.get((k, a))
-        if col is None:
-            m = base.radices[k]
-            col = columns[k, a] = (base.digit_table[:, k] - a) % m * base.cumprod[k]
-        return col
 
-    for t_rank in t_ranks:
-        digits = decode_index(t_rank, base)
-        ranks = column(0, digits[0]).copy()
-        for k in range(1, base.depth):
-            ranks += column(k, digits[k])
-        yield ranks
+def _difference_table(radices: tuple[int, ...]) -> np.ndarray:
+    """(M, M) table whose entry [t, x] is rank(x - t) in the group of ``radices``.
+
+    It is sum_k ((x_k - t_k) mod m_k) M_k, one integer term per digit.
+    """
+    size = math.prod(radices)
+    ranks = np.arange(size)
+    table = np.zeros((size, size), dtype=np.int64)
+    place = 1
+    for m in radices:
+        digit = ranks // place % m
+        table += (digit[None, :] - digit[:, None]) % m * place
+        place *= m
+    return table
 
 
 def negate_rank(base: VilenkinBase, t_rank: int) -> int:

@@ -63,14 +63,29 @@ class WeightSequence:
         self.mean_type = mean_type
         self.monotonicity = monotonicity
         self._extend = extend
-        self._q = extend(np.arange(1))
-        self._Q = np.concatenate([[0.0], np.cumsum(self._q)])
+        self._q = self._Q = np.zeros(0)
+        self._ensure(1)
 
     def _ensure(self, n: int) -> None:
-        if n > len(self._q):
-            grown = max(n, 2 * len(self._q))
-            self._q = self._extend(np.arange(grown))
-            self._Q = np.concatenate([[0.0], np.cumsum(self._q)])
+        """Cache at least (q_0 .. q_{n-1}) and (Q_0 .. Q_n), or raise if one is not finite.
+
+        The prefix grows by doubling, and the cache keeps only its finite
+        part, so whether an order is accepted does not depend on earlier calls.
+        """
+        if n <= len(self._q):
+            return
+        with np.errstate(over="ignore"):
+            q = self._extend(np.arange(max(n, 2 * len(self._q))))
+            Q = np.concatenate([[0.0], np.cumsum(q)])
+        finite = np.isfinite(Q)
+        if not finite.all():
+            first = int(np.argmin(finite))  # Q_first is the first non-finite prefix sum
+            if n >= first:
+                k = first - 1
+                culprit = f"q_{k} = {q[k]}" if not np.isfinite(q[k]) else f"Q_{first} = {Q[first]}"
+                raise ValueError(f"weight family {self.kind}: {culprit} is not finite")
+            q, Q = q[: first - 1], Q[:first]
+        self._q, self._Q = q, Q
 
     def q(self, k: int) -> float:
         """Weight q_k."""
@@ -117,11 +132,18 @@ def _cesaro_weights(alpha: float):
 
 
 def _iterated_log(values: np.ndarray, beta: int) -> np.ndarray:
-    """beta-fold natural log, truncated to 0 where undefined or negative."""
+    """beta-fold natural log, truncated to 0 where undefined or negative.
+
+    The passes stop once no entry is positive and finite: 0 and inf are fixed
+    points, so further passes would change nothing, and a finite positive
+    double falls to <= 0 within a few logs, so any beta costs a few passes.
+    """
     out = values.astype(float).copy()
     alive = out > 0
     for _ in range(beta):
         alive &= out > 0
+        if not np.isfinite(out[alive]).any():
+            break
         out[~alive] = 0.0
         out[alive] = np.log(out[alive])
     out[out < 0] = 0.0

@@ -140,36 +140,35 @@ def character(n: int, x: GroupPoint) -> complex:
 
 
 def character_values(base: VilenkinBase, n: int) -> np.ndarray:
-    """psi_n sampled at every rank: per digit, row n_k of the DFT table gathered by x_k.
+    """psi_n sampled at every rank: the one-row case of :func:`character_block`.
 
-    Entry [n_k, x_k] of ``_dft_matrix(m_k, +1)`` is the root r_k^{n_k x_k}
-    itself, so the gather gives the bits of indexing the root table by
-    (n_k x_k) mod m_k.
+    n goes through :func:`decode_index` first, so an index outside [0, M_N)
+    is rejected under its own name.
     """
-    out = np.ones(base.size, dtype=np.complex128)
-    for k, n_k in enumerate(decode_index(n, base)):
-        if n_k:
-            out *= _dft_matrix(base.radices[k], +1)[n_k][base.digit_table[:, k]]
-    return out
+    decode_index(n, base)
+    return character_block(base, n, n + 1)[0]
 
 
 def character_block(base: VilenkinBase, start: int, stop: int) -> np.ndarray:
     """Rows psi_n over all ranks for n in [start, stop), built literally.
 
-    Entry [i, r] is psi_{start+i} at the point of rank r, assembled digit by
-    digit exactly as :func:`character` does.
+    Entry [i, r] is psi_{start+i} at the point of rank r.  Rank r holds digit
+    x_k on axis 2 of the C-order (rows, M_N/M_{k+1}, m_k, M_k) view, so digit
+    k multiplies that view in place by row n_k of ``_dft_matrix(m_k, +1)``,
+    broadcast over the other digits.  Entry [n_k, x_k] of that table is the
+    root r_k^{n_k x_k} itself, so each entry is the product of the factors
+    :func:`character` takes, in the same increasing k.
     """
     if not 0 <= start <= stop <= base.size:
         raise ValueError(f"bad frequency block [{start}, {stop})")
-    out = np.ones((stop - start, base.size), dtype=np.complex128)
-    digits = base.digit_table
-    for k, m in enumerate(base.radices):
-        n_k = digits[start:stop, k]
-        if not n_k.any():
-            continue
-        x_k = digits[:, k]
-        # per-radix table of r_k^(a*b), gathered by the two digit vectors
-        out *= _dft_matrix(m, +1)[n_k[:, None], x_k[None, :]]
+    rows = stop - start
+    out = np.ones((rows, base.size), dtype=np.complex128)
+    digits = base.digit_table[start:stop]
+    for k, active in enumerate(digits.any(axis=0).tolist()):
+        if active:
+            m, m_k = base.radices[k], base.cumprod[k]
+            view = out.reshape(rows, base.size // (m * m_k), m, m_k)
+            view *= _dft_matrix(m, +1).take(digits[:, k], axis=0)[:, None, :, None]
     return out
 
 
@@ -235,23 +234,38 @@ def forward_naive_batch(base: VilenkinBase, values: np.ndarray) -> np.ndarray:
     for lo in range(0, base.size, step):
         hi = min(lo + step, base.size)
         block = character_block(base, lo, hi)
-        out[:, lo:hi] = values @ np.conj(block).T
+        np.conjugate(block, out=block)
+        out[:, lo:hi] = values @ block.T
+        del block  # so that at most one block of scratch is alive
     return out / base.size
+
+
+def _convolve_block_rows(size: int) -> int:
+    # About 2^15 terms (512 KiB) per block: enough rows to spread the Python
+    # work of a block, few enough to stay in cache.
+    return max(1, (1 << 15) // size)
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
     """(f * g)(x) = (1/M_N) * sum_t f(x - t) g(t), by direct summation.
 
-    The terms are added in increasing t over the nonzero g(t); each x - t
-    table comes from :func:`group._translates`, which builds every digit
-    column once, and never from the transform.
+    The nonzero g(t) are taken a block of t at a time, with the x - t table of
+    the block from :func:`group._translates`, never from the transform.  Each
+    block's terms g(t) f(x - t) are stacked under the running sum and reduced
+    down axis 0, so every x still adds its terms one at a time in increasing t.
     """
     _check_same_base(f, g)
     base = f.base
     out = np.zeros(base.size, dtype=np.complex128)
     support = np.flatnonzero(g.values)
-    for t, ranks in zip(support, _translates(base, support)):
-        out += g.values[t] * f.values[ranks]
+    step = _convolve_block_rows(base.size)
+    stack = np.empty((min(step, len(support)) + 1, base.size), dtype=np.complex128)
+    for lo in range(0, len(support), step):
+        t = support[lo : lo + step]
+        rows = stack[: len(t) + 1]
+        rows[0] = out
+        np.multiply(g.values[t, None], f.values[_translates(base, t)], out=rows[1:])
+        np.add.reduce(rows, axis=0, out=out)
     return StepFunction(base, out / base.size)
 
 

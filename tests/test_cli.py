@@ -7,7 +7,9 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +352,26 @@ class TestConfigAndUsage:
         captured = capsys.readouterr()
         assert spec in captured.err and "finite alpha" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["converge", "--base", "2", "--depth", "6", "--weights", "blog:300:1", "--n", "3..40"],
+         "weight family blog:300:1: q_11 = inf is not finite"),
+        (["verify", "--weights", "blog:1e308:1"],
+         "weight family blog:1e+308:1: q_2 = inf is not finite"),
+    ])
+    def test_overflowing_weights_exit_2(self, argv, message, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_huge_beta_finishes(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["verify", "--base", "2", "--depth", "3", "--weights", "blog:0.5:100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code in (0, 2)
 
 
 SMALL_RUNS = {

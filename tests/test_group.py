@@ -143,17 +143,25 @@ class TestGroupArithmetic:
                 xp = GroupPoint.from_rank(BASE232, x)
                 assert table[x] == group_sub(xp, tp).rank
 
-    @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2", "7,3", "2,2,2,2,2,2"])
+    @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2", "7,3", "2,2,2,2,2,2", "11", "3,2,5,2"])
     def test_translates_match_pointwise_sub(self, spec):
-        # every t, shuffled and repeated, so cached digit columns are reused out of order
+        # every t, shuffled and repeated, as one table: row i is x - t_i for every x
         base = VilenkinBase.parse(spec)
         t_ranks = np.random.default_rng(3).permutation(np.tile(np.arange(base.size), 2))
         points = [GroupPoint.from_rank(base, r) for r in range(base.size)]
-        for t, table in zip(t_ranks, _translates(base, t_ranks)):
+        table = _translates(base, t_ranks)
+        assert table.shape == (len(t_ranks), base.size) and table.dtype == np.int64
+        for t, row in zip(t_ranks, table):
             expected = np.array([group_sub(x, points[t]).rank for x in points])
-            assert table.dtype == np.int64
-            assert np.array_equal(table, expected)
+            assert np.array_equal(row, expected)
             assert np.array_equal(shift_table(base, t), expected)
+        assert _translates(base, []).shape == (0, base.size)
+
+    @pytest.mark.parametrize("t", [12, -1])
+    def test_translate_range_error(self, t):
+        for translate in (lambda: shift_table(BASE232, t), lambda: _translates(BASE232, [0, t, 3])):
+            with pytest.raises(ValueError, match=rf"index {t} outside \[0, 12\)"):
+                translate()
 
     def test_negate_rank(self):
         zero = GroupPoint.zero(BASE232)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +165,59 @@ class TestWeights:
         for prefix in (w.q_prefix, w.Q_prefix):
             with pytest.raises(ValueError, match="prefix length must be >= 0, got -2"):
                 prefix(-2)
+
+    def test_overflowing_weights_name_the_first_bad_index(self):
+        # log(k^300) is inf once k^300 overflows, from k = 11 on
+        w = make_weights("blog", alpha=300, beta=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert w.Q(9) == pytest.approx(300 * sum(math.log(k) for k in range(2, 9)))
+            assert w.Q(11) == pytest.approx(300 * sum(math.log(k) for k in range(2, 11)))
+            for ask in (lambda: w.Q(12), lambda: w.q(40), lambda: w.q_prefix(12),
+                        lambda: w.Q_prefix(64)):
+                with pytest.raises(ValueError) as info:
+                    ask()
+                assert str(info.value) == "weight family blog:300:1: q_11 = inf is not finite"
+            # the finite prefix stays usable, whatever was asked before
+            assert len(w.q_prefix(11)) == 11 and np.isfinite(w.Q_prefix(11)).all()
+
+    def test_overflowing_prefix_sum_named(self):
+        w = WeightSequence("huge", lambda ks: np.full(len(ks), 1e308), "norlund", "n/a")
+        assert w.Q(1) == 1e308
+        with pytest.raises(ValueError, match=r"^weight family huge: Q_2 = inf is not finite$"):
+            w.Q(2)
+
+    def test_overflow_check_keeps_finite_bits(self):
+        # the cache holds the arrays of one extend call over the grown prefix
+        for spec in ALL_FAMILIES:
+            w = weights_from_spec(spec)
+            for n in (1, 3, 17, 600):
+                q = w._extend(np.arange(len(w.q_prefix(n))))
+                assert np.array_equal(w.q_prefix(len(q)), q)
+                assert np.array_equal(w.Q_prefix(len(q)), np.concatenate([[0.0], np.cumsum(q)]))
+
+    @pytest.mark.parametrize("beta", [1, 2, 3, 5, 40])
+    def test_iterated_log_stops_without_changing_a_bit(self, beta):
+        def every_pass(values):
+            out = values.copy()
+            alive = out > 0
+            for _ in range(beta):
+                alive &= out > 0
+                out[~alive] = 0.0
+                out[alive] = np.log(out[alive])
+            out[out < 0] = 0.0
+            out[~alive] = 0.0
+            return out
+
+        values = np.array([0.0, 1e-300, 0.5, 1.0, math.e, 15.2, 1e5, 1e300, np.inf])
+        values = np.concatenate([values, np.arange(1, 5000, dtype=float) ** 0.5])
+        assert np.array_equal(summability._iterated_log(values, beta), every_pass(values))
+
+    def test_huge_beta_takes_a_few_passes(self):
+        start = time.perf_counter()
+        w = make_weights("blog", alpha=0.5, beta=10**9)
+        assert not w.q_prefix(4096).any()
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("mean_type", ["Norlund", "fejer", "", None])
     def test_unknown_mean_type_rejected(self, mean_type):

@@ -2,6 +2,7 @@
 
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ def random_step(base, seed, complex_valued=True):
     if complex_valued:
         values = values + 1j * rng.uniform(-1, 1, base.size)
     return StepFunction(base, values)
+
+
+def gathered_roots(base, n):
+    """psi_n as the product, in increasing k, of the roots indexed by (n_k x_k) mod m_k."""
+    literal = np.ones(base.size, dtype=np.complex128)
+    for k, n_k in enumerate(decode_index(n, base)):
+        if n_k:
+            m = base.radices[k]
+            literal *= transform._unit_roots(m)[(n_k * base.digit_table[:, k]) % m]
+    return literal
 
 
 class TestCharacters:
@@ -84,15 +95,29 @@ class TestCharacters:
 
     @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2", "7,3"])
     def test_values_gather_the_root_table(self, spec):
-        # row n_k of the DFT table at x_k holds the root indexed by (n_k x_k) mod m_k
         base = VilenkinBase.parse(spec)
         for n in range(base.size):
-            literal = np.ones(base.size, dtype=np.complex128)
-            for k, n_k in enumerate(decode_index(n, base)):
-                if n_k:
-                    m = base.radices[k]
-                    literal *= transform._unit_roots(m)[(n_k * base.digit_table[:, k]) % m]
-            assert np.array_equal(character_values(base, n).view(float), literal.view(float))
+            assert np.array_equal(character_values(base, n).view(float), gathered_roots(base, n).view(float))
+
+    @pytest.mark.parametrize("spec", ["2,3,5", "7,3", "5,2,2"])
+    def test_partial_blocks_equal_the_scalar_character(self, spec):
+        # blocks that start and stop off every digit boundary: each entry is
+        # character() up to numpy's complex rounding, and bit for bit the
+        # per-digit product of root-table entries
+        base = VilenkinBase.parse(spec)
+        points = [GroupPoint.from_rank(base, r) for r in range(base.size)]
+        for start, stop in [(0, 1), (3, 4), (1, 8), (5, 13), (7, 7), (base.size - 4, base.size)]:
+            block = character_block(base, start, stop)
+            assert block.shape == (stop - start, base.size)
+            for row, n in zip(block, range(start, stop)):
+                scalar = np.array([character(n, x) for x in points])
+                assert np.max(np.abs(row - scalar)) <= 4e-16
+                assert np.array_equal(row.view(float), gathered_roots(base, n).view(float))
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 13)])
+    def test_block_range_error(self, start, stop):
+        with pytest.raises(ValueError, match="bad frequency block"):
+            character_block(BASE232, start, stop)
 
     def test_orthonormality_exhaustive(self):
         for base in (BASE232, VilenkinBase.parse("3,3,3"), VilenkinBase.parse("2,2,2,2")):
@@ -101,6 +126,9 @@ class TestCharacters:
     def test_range_error(self):
         with pytest.raises(ValueError):
             character(12, GroupPoint.zero(BASE232))
+        for n in (12, -1):
+            with pytest.raises(ValueError, match=rf"index {n} outside \[0, 12\)"):
+                character_values(BASE232, n)
 
 
 class TestForward:
@@ -130,6 +158,18 @@ class TestForward:
                 fast = forward(f).coeffs
                 naive = forward_naive(f).coeffs
                 assert np.max(np.abs(fast - naive)) <= EXACT
+
+    def test_naive_scratch_is_one_block(self):
+        # each block (at most 2^22 values, 64 MiB) is conjugated in place and
+        # released before the next one is built
+        f = random_step(VilenkinBase.parse("2", 12), 5)
+        tracemalloc.start()
+        try:
+            forward_naive(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 16 * 2**22
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -291,6 +331,26 @@ class TestConvolution:
         for t in range(base.size):
             if g.values[t] != 0:
                 out += g.values[t] * f.values[shift_table(base, t)]
+        assert np.array_equal(convolve(f, g).values.view(float), (out / base.size).view(float))
+
+
+    @pytest.mark.parametrize("spec, depth", [("5,2", 5), ("2,3,5", 7), ("2", 12)])
+    def test_blocks_cross_runs_of_zeros(self, spec, depth):
+        # at least three full t-blocks and a partial one, with a run of zeros of
+        # g across every block boundary, against one shift_table per nonzero g(t)
+        base = VilenkinBase.parse(spec, depth)
+        rows = transform._convolve_block_rows(base.size)
+        count = 3 * rows + rows // 2 + 1
+        gaps = np.ones(count, dtype=int)
+        gaps[rows::rows] = 2 + np.arange(len(gaps[rows::rows])) % 3
+        support = np.cumsum(gaps) - 1
+        assert support[-1] < base.size
+        g_values = np.zeros(base.size, dtype=np.complex128)
+        g_values[support] = random_step(base, 24).values[support]
+        f, g = random_step(base, 23), StepFunction(base, g_values)
+        out = np.zeros(base.size, dtype=np.complex128)
+        for t in support:
+            out += g.values[t] * f.values[shift_table(base, t)]
         assert np.array_equal(convolve(f, g).values.view(float), (out / base.size).view(float))
 
 
