@@ -7,9 +7,13 @@ mean-vs-function errors for the experiment runner.
 
 The sweep and the restricted maximal operators transform f once and take
 every order as a row of :func:`~vilenkin.summability._synthesize`, which
-runs the rows through the stage engine in chunks of about 2^14 values; each
-row has the bits of a one-order call.  The sweep takes |t_n f - f| once per
-row and evaluates each p on it with the 1-D arithmetic of :func:`lp_norm`.
+runs each row of order n on the smallest prefix group of at least
+max(n, 256) points, through the stage engine in chunks of about 2^14 values,
+and tiles it to M_N; each row has the bits of a one-order call.  The sweep
+takes |t_n f - f| once per row and evaluates every p on it with one max and
+one scaling (:func:`_lp_norms`, the arithmetic of :func:`lp_norm`).
+:func:`full_maximal_fejer` runs its literal character stream on the prefix
+group of its largest order and tiles the supremum.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ def lp_norm(f: StepFunction, p: float) -> float:
     the powers can neither underflow nor overflow at large p.
     """
     _check_exponent(p)
-    return _lp(np.abs(f.values), p)
+    return _lp_norms(np.abs(f.values), [p])[0]
 
 
 def _check_exponent(p: float) -> None:
@@ -46,12 +50,16 @@ def _check_exponent(p: float) -> None:
         raise ValueError(f"norm exponent must be >= 1 or inf, got {p}")
 
 
-def _lp(magnitudes: np.ndarray, p: float) -> float:
-    """:func:`lp_norm` of a function from its 1-D array of magnitudes |f|."""
+def _lp_norms(magnitudes: np.ndarray, ps) -> list[float]:
+    """:func:`lp_norm` at each exponent of ``ps``, from a 1-D array of magnitudes |f|.
+
+    The max and the scaled array |f| / max|f| are taken once for every p.
+    """
     top = float(np.max(magnitudes))
-    if p == math.inf or top == 0.0:
-        return top
-    return float(top * np.mean((magnitudes / top) ** p) ** (1.0 / p))
+    if top == 0.0:
+        return [top for _ in ps]
+    scaled = magnitudes / top
+    return [top if p == math.inf else float(top * np.mean(scaled**p) ** (1.0 / p)) for p in ps]
 
 
 def weak_lp(f: StepFunction, p: float) -> float:
@@ -146,17 +154,26 @@ def restricted_maximal(
 
 
 def full_maximal_fejer(f: StepFunction, n_max: int) -> StepFunction:
-    """sup_{1 <= n <= n_max} |sigma_n f|, by one pass of the character stream."""
+    """sup_{1 <= n <= n_max} |sigma_n f|, by one pass of the character stream.
+
+    sigma_n f with n <= n_max <= M_K uses only psi_0 .. psi_{M_K - 1}, which
+    read the first K digits, so the stream runs on the prefix group
+    ``base.covering(n_max)`` and the supremum is tiled to M_N.  Each psi_k is
+    built from the same digit factors in the same order as on the full group,
+    and the rest is elementwise, so every value has the bits of a full-group
+    stream.
+    """
     base = f.base
     if not 1 <= n_max <= base.size:
         raise ValueError(f"maximal order {n_max} outside [1, {base.size}]")
-    sup = np.zeros(base.size)
-    sigma = np.empty(base.size)  # |sigma_n f|, one buffer for every n
-    for n, _, block in _character_stream(base, forward(f).coeffs[:n_max]):
+    group = base.covering(n_max)
+    sup = np.zeros(group.size)
+    sigma = np.empty(group.size)  # |sigma_n f|, one buffer for every n
+    for n, _, block in _character_stream(group, forward(f).coeffs[:n_max]):
         np.abs(block, out=sigma)
         sigma /= n
         np.maximum(sup, sigma, out=sup)
-    return StepFunction(base, sup)
+    return StepFunction(base, np.tile(sup, base.size // group.size))
 
 
 def weak11_ratio(maximal: StepFunction, f: StepFunction) -> float:
@@ -220,15 +237,11 @@ def convergence_sweep(
     for (kind, n), synthesized in zip(rows, _synthesize(base, forward(f).coeffs, profiles)):
         residual = synthesized - f.values
         point_errors = {rank: float(abs(residual[rank])) for rank in points}
-        magnitudes = np.abs(residual)
-        for p in p_list:
+        errors = _lp_norms(np.abs(residual), p_list)
+        for p, error in zip(p_list, errors):
             records.append(
                 ConvergenceRecord(
-                    mean_kind=kind,
-                    n=n,
-                    p=float(p),
-                    error=_lp(magnitudes, p),
-                    point_errors=point_errors,
+                    mean_kind=kind, n=n, p=float(p), error=error, point_errors=point_errors
                 )
             )
     return records

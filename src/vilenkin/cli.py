@@ -135,7 +135,19 @@ def _sample_orders(size: int, base: VilenkinBase) -> list[int]:
 
 
 def run_verify(base: VilenkinBase, weight_specs: list[WeightSequence], seed: int) -> list[Check]:
-    """Execute every identity and bound check; one Check per named residual."""
+    """Execute every identity and bound check; one Check per named residual.
+
+    A weight family with Q_n = 0 at every sampled order has no kernel or mean
+    to compare, so it is rejected before any check runs rather than passed
+    at residual 0.
+    """
+    orders = _sample_orders(base.size, base)
+    for w in weight_specs:
+        if all(w.Q(n) <= 0 for n in orders):
+            raise ValueError(
+                f"weight family {w.kind} has Q_n = 0 at every sampled order n <= M_N = "
+                f"{base.size}: no kernel or mean to check"
+            )
     checks: list[Check] = []
     rng = np.random.default_rng(seed)
     f = StepFunction(base, rng.uniform(-1, 1, base.size) + 1j * rng.uniform(-1, 1, base.size))
@@ -182,7 +194,6 @@ def run_verify(base: VilenkinBase, weight_specs: list[WeightSequence], seed: int
 
     # Weight families: Abel identities, kernel mass, path agreement.
     horizon = 512
-    orders = _sample_orders(base.size, base)
     norlund = [w for w in weight_specs if w.mean_type == "norlund"]
     kernel_abel = iter(verify_kernel_abel(norlund, base, orders))
     kernel_mass = verify_kernel_mass(weight_specs, base, orders)

@@ -8,6 +8,7 @@ of a depth-N step function is an exact finite sum with weight 1/M_N.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,6 +69,27 @@ class VilenkinBase:
     def size(self) -> int:
         """M_N, the number of rank-N cosets."""
         return self.cumprod[-1]
+
+    def covering(self, n: int) -> "VilenkinBase":
+        """The smallest prefix group G(m_0, ..., m_{K-1}) with M_K >= n; this base when n >= M_N.
+
+        psi_j with j < M_K reads only the first K digits, so a function band
+        limited to M_K is the M_K values of its prefix group repeated
+        M_N / M_K times.  A prefix group is built on first use and kept by
+        this base, so it dies with it.
+        """
+        k = bisect.bisect_left(self.cumprod, n, lo=1)
+        if k >= self.depth:
+            return self
+        if self._prefixes[k - 1] is None:
+            self._prefixes[k - 1] = VilenkinBase(self.radices[:k])
+        return self._prefixes[k - 1]
+
+    @cached_property
+    def _prefixes(self) -> list["VilenkinBase | None"]:
+        # entry K - 1 is G(m_0..m_{K-1}); only the groups in use are built,
+        # since each one a call builds and drops is small-object churn
+        return [None] * (self.depth - 1)
 
     @cached_property
     def digit_table(self) -> np.ndarray:

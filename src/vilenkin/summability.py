@@ -16,17 +16,22 @@ so that the mean is convolution of f with its kernel.  D_0 is the empty sum
 ``_profile`` gives the coefficients of psi_0 .. psi_{n-1}, and ``_synthesize``
 scales a spectrum by a stack of profiles and inverts the rows in chunks.  A
 kernel is its profile on the unit spectrum; a "kernel"-route mean or partial
-sum is the profile on f's spectrum.  The Abel rearrangement gives the
-alternate evaluation
+sum is the profile on f's spectrum.  psi_j with j < M_K reads only the first
+K digits, so an order-n row with n <= M_K is a rank-K step function:
+``_synthesize`` runs it on that prefix group (of at least 256 points) and
+tiles it to M_N, with the values of a full-size inversion.  The Abel
+rearrangement gives the alternate evaluation
 
     t_n f = (1/Q_n) * ( sum_{j=1}^{n-1} (q_{n-j} - q_{n-j-1}) * j * sigma_j f
                         + q_0 * n * sigma_n f )
 
 where sigma_j is the Fejer mean.  The "direct" and "abel" routes are one
 literal character stream over every requested (family, order) row, which
-never reads the fast transform.  The ``verify_*`` functions return the
-residual of one identity each, with no tolerance: ``vilenkin verify`` and the
-test suite call the same functions and keep their own thresholds.
+never reads the fast transform.  It runs on the full group, as does
+``verify_dirichlet_integral``, so no check compares a prefix-group row with
+itself.  The ``verify_*`` functions return the residual of one identity each,
+with no tolerance: ``vilenkin verify`` and the test suite call the same
+functions and keep their own thresholds.
 """
 
 from __future__ import annotations
@@ -292,28 +297,50 @@ def _profile(kind: str, w: WeightSequence | None, n: int) -> np.ndarray:
 # 64-order stack at M_N = 4096 runs slower than one call per order.
 _CHUNK_VALUES = 1 << 14
 
+# The smallest group a row of _synthesize runs on.  Without a floor, verify's
+# short orders 1, 2, 3, 5, 8 and 13 each took a prefix group of their own and
+# split its chunks: the synthesis stage-engine calls of a verify benchmark
+# round went 492 -> 1088 and their time from 60-70 to 75-77 ms.  At 256, no
+# group with M_N < 512 uses a proper prefix, so verify keeps its calls.
+_PREFIX_FLOOR = 256
+
 
 def _synthesize(base: VilenkinBase, coeffs: np.ndarray, profiles):
     """The one synthesis: yield each spectrum ``coeffs[:len(p)] * p``, zero above, inverted.
 
     A kernel is a profile on the unit spectrum (coefficients 1), a mean or
-    partial sum a profile on f's spectrum.  The profiles are drawn lazily in
-    chunks of about ``_CHUNK_VALUES`` values (at least one row), each chunk
-    one call of the stage engine, and every row has the bits of a call on it
-    alone.  A one-row chunk calls the public :func:`inverse` instead, only so
-    that the span tracer of ``perfbench`` sees the inverse transform under a
-    public kernel builder (its ``summability.kernel.transform_share``).
+    partial sum a profile on f's spectrum.  A profile of length n <= M_K is
+    band limited to psi_0 .. psi_{M_K - 1}, which read only the first K
+    digits, so its row runs on the prefix group
+    ``base.covering(max(n, _PREFIX_FLOOR))`` and each yielded row is tiled to
+    M_N on its own.  That is the full-size row: rank r has low digits
+    r mod M_K, and on the full group every stage above K only copies the one
+    nonzero component of its digit.  The stages below K are the same, so the
+    bits match wherever BLAS rounds a matrix stage alike on M_K / m and
+    M_N / m columns (radices 2, 3, 5 and 16 in the tests; radix 7 may move
+    the last bit).  Consecutive rows on one prefix group are drawn lazily in
+    chunks of about ``_CHUNK_VALUES`` values of that group (at least one
+    row), each chunk one call of the stage engine, and every row has the
+    bits of a call on it alone.  A one-row chunk calls the public
+    :func:`inverse` on its prefix group instead, only so that the span
+    tracer of ``perfbench`` sees the inverse transform under a public kernel
+    builder (its ``summability.kernel.transform_share``).
     """
-    profiles = iter(profiles)
-    step = max(1, _CHUNK_VALUES // base.size)
-    while chunk := list(itertools.islice(profiles, step)):
-        product = np.zeros((len(chunk), base.size), dtype=np.complex128)
-        for row, p in zip(product, chunk):
-            row[: len(p)] = coeffs[: len(p)] * p
-        if len(product) == 1:
-            yield inverse(Spectrum(base, product[0])).values
-        else:
-            yield from _separable_apply(base, product, +1)
+    keyed = ((base.covering(max(len(p), _PREFIX_FLOOR)), p) for p in profiles)
+    for group, run in itertools.groupby(keyed, key=lambda item: item[0]):
+        run = (p for _, p in run)
+        repeats = base.size // group.size
+        step = max(1, _CHUNK_VALUES // group.size)
+        while chunk := list(itertools.islice(run, step)):
+            product = np.zeros((len(chunk), group.size), dtype=np.complex128)
+            for row, p in zip(product, chunk):
+                row[: len(p)] = coeffs[: len(p)] * p
+            if len(product) == 1:
+                rows = [inverse(Spectrum(group, product[0])).values]
+            else:
+                rows = _separable_apply(group, product, +1)
+            for row in rows:
+                yield row if repeats == 1 else np.tile(row, repeats)
 
 
 def _kernel(kind: str, w: WeightSequence | None, base: VilenkinBase, n: int) -> StepFunction:

@@ -444,6 +444,33 @@ class TestRowAxisEqualsPerOrderCalls:
         out = restricted_maximal(f, family, w)
         assert np.array_equal(out.values.view(float), StepFunction(base, sup).values.view(float))
 
+    @pytest.mark.parametrize("spec, depth", [("2,3", 8), ("2", 12)])
+    def test_sweep_rows_across_prefix_groups(self, spec, depth):
+        # chunks change prefix group mid-sweep, at a block order with its partial sum
+        base = VilenkinBase.parse(spec, depth)
+        block = base.covering(summability._PREFIX_FLOOR).size
+        orders = [2, *range(block - 4, block + 5), base.size]
+        sizes = {base.covering(max(n, summability._PREFIX_FLOOR)).size for n in orders}
+        assert len(sizes) >= 2 and block in base.cumprod
+        f = random_step(base, 21)
+        w = weights_from_spec("cesaro:0.5")
+        assert convergence_sweep(f, w, orders, [1, 2, math.inf], [0, 5]) == per_order_records(
+            f, w, orders, [1, 2, math.inf], [0, 5]
+        )
+
+    @pytest.mark.parametrize("spec, depth, block", [("2", 12, 64), ("2,3", 8, 36), ("5,2", 5, 50)])
+    def test_fejer_maximal_on_a_prefix_equals_a_full_group_loop(self, spec, depth, block):
+        # the stream on the prefix group of n_max, tiled, has the bits of a stream on all ranks
+        base = VilenkinBase.parse(spec, depth)
+        f = random_step(base, 22)
+        coeffs = forward(f).coeffs
+        for n_max in (block - 1, block, block + 1, base.size):
+            sup = np.zeros(base.size)
+            for n, _, partial in summability._character_stream(base, coeffs[:n_max]):
+                sup = np.maximum(sup, np.abs(partial) / n)
+            out = full_maximal_fejer(f, n_max)
+            assert out.values.tobytes() == StepFunction(base, sup).values.tobytes()
+
     def test_fejer_maximal_equals_out_of_place_loop(self):
         # one reused buffer gives the bits of a fresh array per order
         base = VilenkinBase.parse("2,3", 6)

@@ -367,6 +367,26 @@ class TestConfigAndUsage:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("spec", ["blog:0.5:3", "blog:0.5:100000000"])
+    def test_family_with_no_live_order_exit_2(self, spec, capsys, tmp_path):
+        # Q_n = 0 at every sampled order: no row to compare, so no check may pass
+        out = tmp_path / "report.json"
+        argv = ["verify", "--base", "2", "--depth", "3", "--weights", spec, "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: weight family {spec} has Q_n = 0 at every sampled order "
+            "n <= M_N = 8: no kernel or mean to check\n"
+        )
+        assert captured.out == "" and not out.exists()
+
+    def test_family_with_a_live_order_still_checked(self, capsys):
+        # blog:0.5:3 has Q_n > 0 from some order on, so a larger group compares real rows
+        assert cli.main(["verify", "--base", "2", "--depth", "8", "--weights", "blog:0.5:3"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS kernel_mass[blog:0.5:3]" in out
+        assert "PASS mean_path_agreement[blog:0.5:3]" in out
+
     def test_huge_beta_finishes(self, capsys):
         start = time.perf_counter()
         code = cli.main(["verify", "--base", "2", "--depth", "3", "--weights", "blog:0.5:100000000"])

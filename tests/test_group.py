@@ -48,6 +48,29 @@ class TestBase:
         for rank in range(BASE232.size):
             assert tuple(BASE232.digit_table[rank]) == decode_index(rank, BASE232)
 
+    def test_prefix_groups_are_kept_by_the_base(self):
+        base = VilenkinBase.parse("2,3,5")
+        groups = [base.covering(m) for m in base.cumprod[1:]]
+        assert [g.radices for g in groups] == [(2,), (2, 3), (2, 3, 5)]
+        assert groups[-1] is base
+        assert all(base.covering(g.size) is g for g in groups)  # built once, then kept
+        assert VilenkinBase((7,)).covering(3) == VilenkinBase((7,))
+
+    def test_prefix_digits_are_the_low_digits(self):
+        # rank r of G(m_0..m_{K-1}) holds the first K digits of every rank = r mod M_K
+        base = VilenkinBase.parse("2,3,2,5")
+        for prefix in map(base.covering, base.cumprod[1:]):
+            np.testing.assert_array_equal(
+                base.digit_table[:, : prefix.depth],
+                prefix.digit_table[np.arange(base.size) % prefix.size],
+            )
+
+    def test_covering_is_the_smallest_prefix_that_fits(self):
+        base = VilenkinBase.parse("2,3", depth=5)  # M_K: 2, 6, 12, 36, 72
+        expected = {0: 2, 1: 2, 2: 2, 3: 6, 6: 6, 7: 12, 12: 12, 13: 36, 72: 72, 500: 72}
+        assert {n: base.covering(n).size for n in expected} == expected
+        assert base.covering(72) is base and base.covering(500) is base
+
 
 class TestIndexCoding:
     def test_decode_hand_value(self):

@@ -537,6 +537,135 @@ class TestMeans:
             mean(f, make_weights("constant"), 2, method="magic")
 
 
+PREFIX_GROUPS = [("2", 12), ("2,3", 8), ("2,3,5", 7), ("16", 3)]
+PREFIX_KINDS = [("dirichlet", None), ("fejer", None)] + [
+    (w.mean_type, w) for w in map(weights_from_spec, ALL_FAMILIES)
+]
+
+
+def prefix_orders(base):
+    """1, M_N and the orders on both sides of each M_K and of the prefix floor."""
+    edges = {*base.cumprod, summability._PREFIX_FLOOR}
+    near = {n for m in edges for n in (m - 1, m, m + 1)}
+    return sorted(n for n in near | {1, base.size} if 1 <= n <= base.size)
+
+
+def full_size_row(base, coeffs, profile):
+    """The stage engine at full size on the zero-padded spectrum, with no prefix group."""
+    padded = np.zeros(base.size, dtype=np.complex128)
+    padded[: len(profile)] = coeffs[: len(profile)] * profile
+    return transform._separable_apply(base, padded, +1)
+
+
+def live_kernel_rows(base):
+    return [(kind, w, n) for kind, w in PREFIX_KINDS for n in prefix_orders(base)
+            if w is None or w.Q(n) > 0]
+
+
+class TestPrefixSynthesis:
+    """A row band limited to M_K runs on the prefix group of M_K points and is tiled."""
+
+    @pytest.mark.parametrize("spec, depth", PREFIX_GROUPS)
+    def test_rows_equal_the_full_size_engine(self, spec, depth):
+        base = VilenkinBase.parse(spec, depth)
+        rows = live_kernel_rows(base)
+        profiles = [summability._profile(kind, w, n) for kind, w, n in rows]
+        groups = {base.covering(max(n, summability._PREFIX_FLOOR)).size for _, _, n in rows}
+        assert len(groups) >= 2  # one call runs rows on a proper prefix and on the full group
+        for coeffs in (np.ones(base.size), forward(random_step(base, depth)).coeffs):
+            synthesized = summability._synthesize(base, coeffs, profiles)
+            for p, row in zip(profiles, synthesized, strict=True):
+                assert row.tobytes() == full_size_row(base, coeffs, p).tobytes()
+
+    @pytest.mark.parametrize("spec, depth", PREFIX_GROUPS)
+    def test_public_kernels_equal_the_full_size_engine(self, spec, depth):
+        base = VilenkinBase.parse(spec, depth)
+        f = random_step(base, depth + 1)
+        coeffs = forward(f).coeffs
+        unit = np.ones(base.size)
+        builders = {"dirichlet": dirichlet, "fejer": fejer_kernel}
+        for kind, w, n in live_kernel_rows(base):
+            p = summability._profile(kind, w, n)
+            if w is None:
+                kernel = builders[kind](base, n)
+            else:
+                kernel = (norlund_kernel if kind == "norlund" else t_kernel)(w, base, n)
+                t_n = mean(f, w, n, "kernel")
+                assert t_n.values.tobytes() == full_size_row(base, coeffs, p).tobytes()
+            assert kernel.values.tobytes() == full_size_row(base, unit, p).tobytes()
+        for n in prefix_orders(base):
+            p = summability._profile("dirichlet", None, n)
+            assert partial_sum(f, n).values.tobytes() == full_size_row(base, coeffs, p).tobytes()
+
+    def test_prime_radix_within_roundoff(self):
+        # a matrix stage rounds by its column count (BLAS), which a prefix group
+        # changes from 343 to 49 at radix 7: the last bit may move, no more
+        base = VilenkinBase.parse("7", 4)
+        rows = live_kernel_rows(base)
+        profiles = [summability._profile(kind, w, n) for kind, w, n in rows]
+        for coeffs in (np.ones(base.size), forward(random_step(base, 4)).coeffs):
+            for p, row in zip(profiles, summability._synthesize(base, coeffs, profiles)):
+                exact = full_size_row(base, coeffs, p)
+                scale = max(1.0, float(np.max(np.abs(exact))))
+                assert np.max(np.abs(row - exact)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("spec, depth", [*PREFIX_GROUPS, ("7", 4), ("5,2", 5)])
+    def test_band_limited_rows_are_periodic(self, spec, depth):
+        # a row of order n repeats the M_K values of its smallest covering prefix exactly
+        base = VilenkinBase.parse(spec, depth)
+        rows = live_kernel_rows(base)
+        profiles = [summability._profile(kind, w, n) for kind, w, n in rows]
+        coeffs = forward(random_step(base, 5)).coeffs
+        for (_, _, n), row in zip(rows, summability._synthesize(base, coeffs, profiles)):
+            period = base.covering(n).size
+            tiles = row.reshape(base.size // period, period)
+            assert np.array_equal(tiles, np.broadcast_to(tiles[0], tiles.shape))
+
+    @pytest.mark.parametrize("spec, depth, orders", [
+        ("2,3", 8, [1, 2, *range(250, 262), *range(428, 440)]),
+        ("2", 12, [3, *range(254, 259), *range(510, 515), 4096]),
+    ])
+    def test_kernel_route_rows_across_prefix_groups(self, spec, depth, orders):
+        # one synthesis whose rows change prefix group mid-stream gives each row
+        # the bytes of mean(kernel)
+        base = VilenkinBase.parse(spec, depth)
+        f = random_step(base, 19)
+        families = [weights_from_spec(spec) for spec in ALL_FAMILIES]
+        rows = [(w, n) for w in families for n in orders if w.Q(n) > 0]
+        sizes = [base.covering(max(n, summability._PREFIX_FLOOR)).size for _, n in rows]
+        assert len(set(sizes)) >= 2  # each family's orders cross from one prefix group to another
+        assert sum(a != b for a, b in zip(sizes, sizes[1:])) >= len(families)
+        profiles = (summability._profile(w.mean_type, w, n) for w, n in rows)
+        batch = summability._synthesize(base, forward(f).coeffs, profiles)
+        for (w, n), row in zip(rows, batch, strict=True):
+            assert mean(f, w, n, "kernel").values.tobytes() == row.tobytes()
+
+    def test_oracles_never_read_a_prefix_group(self, monkeypatch):
+        # the literal routes run on the full group, so no check passes by construction
+        base = VilenkinBase.parse("2,3", 8)
+        f = random_step(base, 20)
+        w = make_weights("cesaro", alpha=0.5)
+        expected = (
+            summability._abel_accumulate(base, forward(f).coeffs, [(w, 300)]),
+            verify_dirichlet_integral(base),
+            transform.forward_naive(f).coeffs,
+            transform.convolve(f, f).values,
+        )
+
+        def refuse(self, n):
+            raise AssertionError(f"an oracle asked for the prefix group of {n} points")
+
+        monkeypatch.setattr(VilenkinBase, "covering", refuse)
+        direct, abel = summability._abel_accumulate(base, forward(f).coeffs, [(w, 300)])
+        assert np.array_equal(direct, expected[0][0]) and np.array_equal(abel, expected[0][1])
+        assert verify_dirichlet_integral(base) == expected[1]
+        assert np.array_equal(transform.forward_naive(f).coeffs, expected[2])
+        assert np.array_equal(transform.convolve(f, f).values, expected[3])
+        assert np.array_equal(mean(f, w, 300, "direct").values, direct[0])
+        with pytest.raises(AssertionError, match="prefix group"):
+            mean(f, w, 300, "kernel")
+
+
 class TestAbelIdentities:
     @pytest.mark.parametrize("spec", ALL_FAMILIES)
     def test_prefix_sum_rebuild(self, spec):

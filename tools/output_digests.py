@@ -42,6 +42,9 @@ _CONVERGE = [
     "--base 5,2 --depth 4 --weights blog:0.5:1 --n 3..100 --corpus spike:2",
     "--base 2,3,2 --depth 5 --weights valpha:0.5 --corpus coset:2 --p 1,3,inf",
     "--base 2 --depth 12 --weights norlund_log --corpus random --n 2..300 --points 1,77,4000",
+    # rows on a proper prefix group: M_K = 432 of 1296 and 900 of 1800
+    "--base 2,3 --depth 8 --weights cesaro:0.5 --corpus random --n 200..300 --points 0,431,1295",
+    "--base 2,3,5 --depth 7 --weights blog:0.5:1 --corpus coset:6 --n 40..110 --points 3,1799",
 ]
 _KERNEL_DUMP = [
     "--base 2 --depth 9 --order 300 --weights cesaro:0.5",
@@ -53,6 +56,10 @@ _KERNEL_DUMP = [
     *(f"--base 2,3 --depth 4 --order {n} --weights {w}"
       for w in ("constant", "cesaro:0.5", "valpha:0.5", "riesz_log", "norlund_log", "blog:0.5:1")
       for n in (3, 9, 36)),
+    # orders below M_N / 4, synthesized on a proper prefix group and tiled
+    "--base 2 --depth 12 --order 1000 --weights norlund_log",
+    "--base 16 --depth 3 --order 200 --kind fejer",
+    "--base 2,3,5 --depth 7 --order 400 --weights riesz_log",
 ]
 RUNS = ([f"verify {args}" for args in _VERIFY]
         + [f"converge {args}" for args in _CONVERGE]
