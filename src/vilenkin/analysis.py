@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import GroupPoint, VilenkinBase, coset_members, group_sub
+from .group import GroupPoint, VilenkinBase, _check_same_base, coset_members, group_sub
 from .summability import (
     WeightSequence,
     _character_stream,
@@ -84,6 +84,7 @@ def lebesgue_profile(f: StepFunction, x: GroupPoint) -> np.ndarray:
 
     a_N is always 0 for step data, since I_N(x) is the single cell of x.
     """
+    _check_same_base(x, f)
     base = f.base
     fx = f.values[x.rank]
     deviations = np.abs(f.values - fx)
@@ -101,6 +102,7 @@ def vilenkin_lebesgue_profile(f: StepFunction, x: GroupPoint, a_max: int) -> np.
     M_s times the integral of |f - f(x)| over I_A(x - r*e_s); a point where
     W_A tends to 0 is a Vilenkin-Lebesgue point.
     """
+    _check_same_base(x, f)
     base = f.base
     if not 1 <= a_max <= base.depth:
         raise ValueError(f"profile depth {a_max} outside [1, {base.depth}]")

@@ -194,7 +194,8 @@ class GroupPoint:
         return group_sub(self, other)
 
 
-def _check_same_base(x: GroupPoint, y: GroupPoint) -> None:
+def _check_same_base(x, y) -> None:
+    """Reject two objects with a ``base`` (points, step functions, spectra) on different groups."""
     if x.base != y.base:
         raise ValueError(f"base mismatch: {x.base} vs {y.base}")
 
@@ -296,9 +297,3 @@ def _difference_table(radices: tuple[int, ...]) -> np.ndarray:
         place *= m
     return table
 
-
-def negate_rank(base: VilenkinBase, t_rank: int) -> int:
-    """Rank of the group inverse -t."""
-    t_digits = decode_index(t_rank, base)
-    coords = tuple((-d) % m for d, m in zip(t_digits, base.radices))
-    return encode_index(coords, base)

@@ -43,7 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import VilenkinBase, coset_members, order_stats
-from .transform import Spectrum, StepFunction, _separable_apply, character_values, forward, inverse
+from .transform import (
+    Spectrum, StepFunction, _character_rows, _separable_apply, character_values, forward, inverse,
+)
 
 # The parameters of each weight kind's spec, e.g. "blog:alpha:beta".
 _SPEC_PARAMS = {
@@ -426,51 +428,15 @@ def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
     return q[::-1] if w.mean_type == "norlund" else q[1:]
 
 
-def _characters(base: VilenkinBase, count: int):
-    """Yield psi_0 .. psi_{count-1} over every rank, each valid until the next step.
-
-    psi_0 and each digit row psi_{a M_j}, built the first time an index has
-    digit a at place j, come from :func:`character_values`.  Every other psi_k
-    is the product of the rows of its nonzero digits in increasing place
-    order, the order in which :func:`character_values` multiplies them, so it
-    has the same bits.
-    """
-    product = np.empty(base.size, dtype=np.complex128)
-    rows: dict[tuple[int, int], np.ndarray] = {}
-    digits = [0] * base.depth  # of k
-
-    def row(j: int, a: int) -> np.ndarray:
-        if (j, a) not in rows:
-            rows[j, a] = character_values(base, a * base.cumprod[j])
-            rows[j, a].setflags(write=False)  # a one-digit psi_k is the row itself
-        return rows[j, a]
-
-    for _ in range(count):
-        places = [(j, a) for j, a in enumerate(digits) if a]
-        if not places:
-            yield character_values(base, 0)
-        elif len(places) == 1:
-            yield row(*places[0])
-        else:
-            psi = np.multiply(row(*places[0]), row(*places[1]), out=product)
-            for place in places[2:]:
-                psi *= row(*place)
-            yield psi
-        for j, m in enumerate(base.radices):  # digits of k + 1
-            digits[j] = (digits[j] + 1) % m
-            if digits[j]:
-                break
-
-
 def _character_stream(base: VilenkinBase, coeffs: np.ndarray):
-    """Yield (k, S_k, k sigma_k) for k = 1 .. len(coeffs), taking psi_{k-1} from :func:`_characters`.
+    """Yield (k, S_k, k sigma_k) for k = 1 .. len(coeffs), taking psi_{k-1} from :func:`_character_rows`.
 
     S_k = sum_{j<k} coeffs[j] psi_j and k sigma_k = sum_{j<=k} S_j are updated
     in place, so each yielded array is valid until the next step.
     """
     running = np.zeros(base.size, dtype=np.complex128)  # S_k
     block = np.zeros(base.size, dtype=np.complex128)  # k * sigma_k
-    psis = _characters(base, len(coeffs))
+    psis = _character_rows(base, 0, len(coeffs))
     for k, (coefficient, psi) in enumerate(zip(coeffs, psis), start=1):
         running += coefficient * psi
         block += running

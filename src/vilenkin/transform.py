@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import GroupPoint, VilenkinBase, _translates, decode_index
+from .group import GroupPoint, VilenkinBase, _check_same_base, _translates, decode_index
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,6 @@ def _frozen(base: VilenkinBase, data, noun: str, owner: str) -> np.ndarray:
     return out
 
 
-def _check_same_base(f, g) -> None:
-    if f.base != g.base:
-        raise ValueError(f"base mismatch: {f.base} vs {g.base}")
-
-
 @lru_cache(maxsize=64)
 def _unit_roots(m: int) -> np.ndarray:
     """Table exp(2*pi*i*j/m) for j < m."""
@@ -152,24 +147,57 @@ def character_values(base: VilenkinBase, n: int) -> np.ndarray:
 def character_block(base: VilenkinBase, start: int, stop: int) -> np.ndarray:
     """Rows psi_n over all ranks for n in [start, stop), built literally.
 
-    Entry [i, r] is psi_{start+i} at the point of rank r.  Rank r holds digit
-    x_k on axis 2 of the C-order (rows, M_N/M_{k+1}, m_k, M_k) view, so digit
-    k multiplies that view in place by row n_k of ``_dft_matrix(m_k, +1)``,
-    broadcast over the other digits.  Entry [n_k, x_k] of that table is the
-    root r_k^{n_k x_k} itself, so each entry is the product of the factors
-    :func:`character` takes, in the same increasing k.
+    Entry [i, r] is psi_{start+i} at the point of rank r, as
+    :func:`_character_rows` yields it.
     """
     if not 0 <= start <= stop <= base.size:
         raise ValueError(f"bad frequency block [{start}, {stop})")
-    rows = stop - start
-    out = np.ones((rows, base.size), dtype=np.complex128)
-    digits = base.digit_table[start:stop]
-    for k, active in enumerate(digits.any(axis=0).tolist()):
-        if active:
-            m, m_k = base.radices[k], base.cumprod[k]
-            view = out.reshape(rows, base.size // (m * m_k), m, m_k)
-            view *= _dft_matrix(m, +1).take(digits[:, k], axis=0)[:, None, :, None]
+    out = np.empty((stop - start, base.size), dtype=np.complex128)
+    for row, psi in zip(out, _character_rows(base, start, stop)):
+        row[:] = psi
     return out
+
+
+def _character_rows(base: VilenkinBase, start: int, stop: int):
+    """Yield psi_n over every rank for n in [start, stop), each valid until the next step.
+
+    This is the one literal character builder.  The digits of n are row n of
+    ``base.digit_table``.  psi_0 is ones; the digit row psi_{a M_j} of
+    :func:`_digit_row` is built the first time an index has digit a at
+    place j and is yielded as it is for a one-digit n; every other psi_n is
+    the product of the rows of its nonzero digits in increasing place order,
+    the factors :func:`character` takes in the same order.
+    """
+    rows: dict[tuple[int, int], np.ndarray] = {}  # (j, a) -> psi_{a M_j}
+    product = np.empty(base.size, dtype=np.complex128)
+    for digits in base.digit_table[start:stop].tolist():
+        places = [(j, a) for j, a in enumerate(digits) if a]
+        for place in places:
+            if place not in rows:
+                rows[place] = _digit_row(base, *place)
+        if not places:
+            yield np.ones(base.size, dtype=np.complex128)
+        elif len(places) == 1:
+            yield rows[places[0]]
+        else:
+            psi = np.multiply(rows[places[0]], rows[places[1]], out=product)
+            for place in places[2:]:
+                psi *= rows[place]
+            yield psi
+
+
+def _digit_row(base: VilenkinBase, j: int, a: int) -> np.ndarray:
+    """psi_{a M_j} over every rank, read-only.
+
+    Rank r holds digit x_j on axis 1 of the C-order (M_N/M_{j+1}, m_j, M_j)
+    view, so the row is row a of ``_dft_matrix(m_j, +1)`` broadcast over the
+    other digits: entry [a, x_j] of that table is the root r_j^{a x_j} itself.
+    """
+    m = base.radices[j]
+    row = np.empty(base.size, dtype=np.complex128)
+    row.reshape(-1, m, base.cumprod[j])[...] = _dft_matrix(m, +1)[a, :, None]
+    row.setflags(write=False)
+    return row
 
 
 def verify_orthonormality(base: VilenkinBase) -> float:

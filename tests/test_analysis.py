@@ -134,6 +134,13 @@ class TestLebesgueProfile:
             profile = lebesgue_profile(f, GroupPoint.from_rank(BASE232, rank))
             assert profile[-1] == 0.0
 
+    def test_point_of_another_group_rejected(self):
+        # a G(2,2,2) point once gave [13.33, 13.67, 15, 12, 0] on G(2,3,2,3)
+        f = random_step(VilenkinBase.parse("2,3,2,3"), 5)
+        x = GroupPoint.from_rank(VilenkinBase.parse("2,2,2"), 5)
+        with pytest.raises(ValueError, match=r"^base mismatch: G\(2,2,2\) vs G\(2,3,2,3\)$"):
+            lebesgue_profile(f, x)
+
 
 def oscillation_oracle(f, x, a):
     """Literal double loop over shifted cosets and points."""
@@ -187,6 +194,13 @@ class TestVilenkinLebesgueProfile:
         f = random_step(BASE232, 4)
         with pytest.raises(ValueError):
             vilenkin_lebesgue_profile(f, GroupPoint.zero(BASE232), 4)
+
+    def test_point_of_another_group_rejected(self):
+        # a point of rank 35 on a larger group once raised IndexError on f.values
+        f = random_step(VilenkinBase.parse("2,2,2"), 6)
+        x = GroupPoint.from_rank(VilenkinBase.parse("2,3,2,3"), 35)
+        with pytest.raises(ValueError, match=r"^base mismatch: G\(2,3,2,3\) vs G\(2,2,2\)$"):
+            vilenkin_lebesgue_profile(f, x, 3)
 
 
 class TestMaximalOperators:

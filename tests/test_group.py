@@ -15,7 +15,6 @@ from vilenkin.group import (
     encode_index,
     group_add,
     group_sub,
-    negate_rank,
     order_stats,
     shift_table,
     _translates,
@@ -185,12 +184,6 @@ class TestGroupArithmetic:
         for translate in (lambda: shift_table(BASE232, t), lambda: _translates(BASE232, [0, t, 3])):
             with pytest.raises(ValueError, match=rf"index {t} outside \[0, 12\)"):
                 translate()
-
-    def test_negate_rank(self):
-        zero = GroupPoint.zero(BASE232)
-        for t in range(BASE232.size):
-            tp = GroupPoint.from_rank(BASE232, t)
-            assert negate_rank(BASE232, t) == group_sub(zero, tp).rank
 
 
 class TestCosets:

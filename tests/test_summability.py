@@ -737,43 +737,37 @@ STREAM_BASES = ("2,3,2", "5,2,2", "7,3", "2,2,2,2,2,2,2,2")
 
 
 class TestCharacterStream:
-    @pytest.mark.parametrize("spec", STREAM_BASES)
-    def test_characters_equal_character_values(self, spec):
-        base = VilenkinBase.parse(spec)
-        psis = summability._characters(base, base.size)
-        for k, psi in enumerate(psis):
-            assert np.array_equal(psi.view(float), character_values(base, k).view(float))
-
     def _counted(self, monkeypatch):
-        args = []
+        places = []
+        digit_row = transform._digit_row
 
-        def counted(base, n):
-            args.append(n)
-            return character_values(base, n)
+        def counted(base, j, a):
+            places.append((j, a))
+            return digit_row(base, j, a)
 
-        monkeypatch.setattr(summability, "character_values", counted)
-        return args
+        monkeypatch.setattr(transform, "_digit_row", counted)
+        return places
 
     @pytest.mark.parametrize("spec", STREAM_BASES)
     def test_one_character_row_per_digit(self, monkeypatch, spec):
-        # psi_0 and one row per (place, nonzero digit), not one character per k
+        # one row per (place, nonzero digit), not one character per k
         base = VilenkinBase.parse(spec)
-        args = self._counted(monkeypatch)
+        places = self._counted(monkeypatch)
         for _ in summability._character_stream(base, np.ones(base.size)):
             pass
-        assert len(args) <= 1 + sum(m - 1 for m in base.radices)
+        assert len(places) == len(set(places)) == sum(m - 1 for m in base.radices)
 
     @pytest.mark.parametrize("spec", STREAM_BASES)
     def test_short_stream_builds_no_higher_row(self, monkeypatch, spec):
         base = VilenkinBase.parse(spec)
-        args = self._counted(monkeypatch)
+        places = self._counted(monkeypatch)
         for n_max in (1, 2, 5, base.size // 3, base.size - 1):
-            args.clear()
+            places.clear()
             for _ in summability._character_stream(base, np.ones(n_max)):
                 pass
             # M_{j+1} for the top nonzero digit place j of n_max - 1
             limit = next(m_j for m_j in base.cumprod if m_j > n_max - 1)
-            assert max(args) < limit
+            assert max((a * base.cumprod[j] for j, a in places), default=0) < limit
 
 
 class TestComplementIdentity:
@@ -919,8 +913,12 @@ def _scaled_first_row(character_block):
     return faulty
 
 
-def _scaled_psi_0(character_values):
-    return lambda base, n: character_values(base, n) * (FAULT if n == 0 else 1.0)
+def _scaled_psi_0(character_rows):
+    def faulty(base, start, stop):
+        for n, psi in enumerate(character_rows(base, start, stop), start=start):
+            yield psi * FAULT if n == 0 else psi
+
+    return faulty
 
 
 def _shifted_entry(Q_prefix):
@@ -971,7 +969,7 @@ def _scaled_psi_top(character_values):
 @pytest.mark.parametrize("owner, name, fault, residual, tolerance", [
     (transform, "character_block", _scaled_first_row,
      lambda: verify_orthonormality(BASE232), EXACT),
-    (summability, "character_values", _scaled_psi_0,
+    (summability, "_character_rows", _scaled_psi_0,
      lambda: verify_dirichlet_integral(BASE232), EXACT),
     (WeightSequence, "Q_prefix", _shifted_entry,
      lambda: verify_abel_prefix_sum(make_weights("cesaro", alpha=0.5), 64), COMPOSED),
@@ -984,7 +982,7 @@ def _scaled_psi_top(character_values):
     (summability, "_profile", _scaled_result,
      lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
      COMPOSED),
-    (summability, "character_values", _scaled_psi_0,
+    (summability, "_character_rows", _scaled_psi_0,
      lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
      COMPOSED),
     (summability, "_profile", _scaled_first_entry,

@@ -41,6 +41,10 @@ def random_step(base, seed, complex_valued=True):
     return StepFunction(base, values)
 
 
+# radices 4, 8, 9, 11 and 16, and a four-radix mix
+WIDE_RADIX_SPECS = ["4,4,4", "8,8", "16,16", "9,4", "11,2", "2,3,5,7"]
+
+
 def gathered_roots(base, n):
     """psi_n as the product, in increasing k, of the roots indexed by (n_k x_k) mod m_k."""
     literal = np.ones(base.size, dtype=np.complex128)
@@ -93,13 +97,13 @@ class TestCharacters:
                 x = GroupPoint.from_rank(BASE232, rank)
                 assert block[n, rank] == pytest.approx(character(n, x), abs=EXACT)
 
-    @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2", "7,3"])
+    @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2", "7,3", *WIDE_RADIX_SPECS])
     def test_values_gather_the_root_table(self, spec):
         base = VilenkinBase.parse(spec)
         for n in range(base.size):
             assert np.array_equal(character_values(base, n).view(float), gathered_roots(base, n).view(float))
 
-    @pytest.mark.parametrize("spec", ["2,3,5", "7,3", "5,2,2"])
+    @pytest.mark.parametrize("spec", ["2,3,5", "7,3", "5,2,2", *WIDE_RADIX_SPECS])
     def test_partial_blocks_equal_the_scalar_character(self, spec):
         # blocks that start and stop off every digit boundary: each entry is
         # character() up to numpy's complex rounding, and bit for bit the

@@ -35,6 +35,10 @@ _VERIFY = [
     "--base 2,3,2 --depth 3 --weights constant,riesz_log,blog:0.5:1,norlund_log",
     "--base 2 --depth 7",
     "--base 2 --depth 12",
+    # the literal oracles at radices 4, 7 and 16 and at M_N 1024 above radix 2
+    "--base 4 --depth 5",
+    "--base 7 --depth 3",
+    "--base 16 --depth 2",
 ]
 _CONVERGE = [
     "--base 2 --depth 9 --weights cesaro:0.5 --n 1..512",
