@@ -32,7 +32,7 @@ from .summability import (
     _synthesize,
     make_weights,
 )
-from .transform import StepFunction, _write_text, forward
+from .transform import StepFunction, _write_text, convolve_spectral, forward
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
@@ -60,6 +60,13 @@ def _lp_norms(magnitudes: np.ndarray, ps) -> list[float]:
         return [top for _ in ps]
     scaled = magnitudes / top
     return [top if p == math.inf else float(top * np.mean(scaled**p) ** (1.0 / p)) for p in ps]
+
+
+def verify_young(f: StepFunction, g: StepFunction) -> float:
+    """Young's inequality: the largest max(0, ||f * g||_p - ||f||_p ||g||_1) over p = 1, 2, inf."""
+    conv = convolve_spectral(f, g)
+    excess = (lp_norm(conv, p) - lp_norm(f, p) * lp_norm(g, 1) for p in (1.0, 2.0, math.inf))
+    return max(0.0, *excess)
 
 
 def weak_lp(f: StepFunction, p: float) -> float:

@@ -20,7 +20,9 @@ def corpus(name: str, base: VilenkinBase, seed: int = 0) -> StepFunction:
     smooth2       a fixed real function of the first two coordinates
     random        i.i.d. uniform values in [-1, 1] from the seeded generator
     """
-    kind, _, arg = name.partition(":")
+    kind, colon, arg = name.partition(":")
+    if colon and kind in CORPUS_NAMES:  # the kinds listed without ":" take no parameter
+        raise ValueError(f"corpus {name!r}: {kind} takes no parameter")
     if kind == "constant":
         return StepFunction(base, np.ones(base.size))
     if kind == "character":

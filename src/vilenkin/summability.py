@@ -44,7 +44,8 @@ import numpy as np
 
 from .group import VilenkinBase, coset_members, order_stats
 from .transform import (
-    Spectrum, StepFunction, _character_rows, _separable_apply, character_values, forward, inverse,
+    Spectrum, StepFunction, _character_rows, _deviation, _separable_apply, character_values,
+    forward, inverse,
 )
 
 # The parameters of each weight kind's spec, e.g. "blog:alpha:beta".
@@ -481,37 +482,29 @@ def _live_rows(families, base: VilenkinBase, orders) -> list[tuple[int, WeightSe
     return [(i, w, n) for i, w in enumerate(families) for n in orders if w.Q(n) > 0]
 
 
-def _deviation(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
-
-
-def verify_dirichlet_complement(base: VilenkinBase, r: int, offsets) -> float:
-    """Largest residual of D_{M_r - j} = D_{M_r} - psi_{M_r - 1} * conj(D_j) over the offsets j.
+def verify_dirichlet_complement(base: VilenkinBase) -> float:
+    """Largest residual of D_{M_r - j} = D_{M_r} - psi_{M_r - 1} * conj(D_j) over every level r.
 
     Exact for 0 <= j < M_r because the top M_r - j characters are the
-    digitwise complements of the bottom j.  Each residual is the max
-    pointwise deviation over the group; the distinct D_n of the level are the
-    rows of one synthesis.
+    digitwise complements of the bottom j.  A level takes every j when M_r <= 128,
+    else 128 spread evenly, distinct at steps (M_r - 1)/127 > 1.  Each residual
+    is the max deviation over the group; one synthesis per level gives its D_n.
     """
-    if not 0 <= r <= base.depth:
-        raise ValueError(f"block level {r} outside [0, {base.depth}]")
-    m_r = base.cumprod[r]
-    offsets = [int(j) for j in offsets]
-    for j in offsets:
-        if not 0 <= j < m_r:
-            raise ValueError(f"offset {j} outside [0, {m_r})")
-    orders = sorted({m_r, *offsets, *(m_r - j for j in offsets)})
-    profiles = (_profile("dirichlet", None, n) for n in orders)
-    tables = dict(zip(orders, _synthesize(base, np.ones(m_r), profiles)))
-    psi = character_values(base, m_r - 1)
-    return max(
-        (_deviation(tables[m_r - j], tables[m_r] - psi * np.conj(tables[j])) for j in offsets),
-        default=0.0,
-    )
+    worst = 0.0
+    for m_r in base.cumprod:
+        offsets = np.linspace(0, m_r - 1, min(m_r, 128), dtype=int).tolist()
+        orders = sorted({m_r, *offsets, *(m_r - j for j in offsets)})
+        profiles = (_profile("dirichlet", None, n) for n in orders)
+        tables = dict(zip(orders, _synthesize(base, np.ones(m_r), profiles)))
+        psi = character_values(base, m_r - 1)
+        for j in offsets:
+            worst = max(worst, _deviation(tables[m_r - j], tables[m_r] - psi * np.conj(tables[j])))
+        del tables  # so that one level's tables are alive at a time
+    return worst
 
 
-def verify_block_kernel_split(w: WeightSequence, base: VilenkinBase, r: int) -> float:
-    """Residual of F_{M_r} = D_{M_r} - psi_{M_r - 1} * conj(F_{M_r}^inv).
+def verify_block_kernel_split(w: WeightSequence, base: VilenkinBase) -> float:
+    """Largest residual of F_{M_r} = D_{M_r} - psi_{M_r - 1} * conj(F_{M_r}^inv) over r = 1 .. N.
 
     Follows from the Dirichlet complement identity applied to the reversed
     kernel sum; stated for non-increasing families, which the tag must
@@ -519,15 +512,14 @@ def verify_block_kernel_split(w: WeightSequence, base: VilenkinBase, r: int) -> 
     """
     if w.monotonicity != "non-increasing":
         raise ValueError(
-            f"block kernel split needs a non-increasing family, got {w.kind} "
-            f"({w.monotonicity})"
+            f"block kernel split needs a non-increasing family, got {w.kind} ({w.monotonicity})"
         )
-    if not 1 <= r <= base.depth:
-        raise ValueError(f"block level {r} outside [1, {base.depth}]")
-    m_r = base.cumprod[r]
-    d_m = _kernel("dirichlet", None, base, m_r).values
-    rhs = d_m - character_values(base, m_r - 1) * np.conj(t_kernel(w, base, m_r).values)
-    return _deviation(norlund_kernel(w, base, m_r).values, rhs)
+    worst = 0.0
+    for m_r in base.cumprod[1:]:
+        d_m = _kernel("dirichlet", None, base, m_r).values
+        rhs = d_m - character_values(base, m_r - 1) * np.conj(t_kernel(w, base, m_r).values)
+        worst = max(worst, _deviation(norlund_kernel(w, base, m_r).values, rhs))
+    return worst
 
 
 def verify_dirichlet_integral(base: VilenkinBase) -> float:

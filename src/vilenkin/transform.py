@@ -304,6 +304,32 @@ def convolve_spectral(f: StepFunction, g: StepFunction) -> StepFunction:
     return inverse(Spectrum(f.base, product))
 
 
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def verify_fast_vs_naive(base: VilenkinBase, values) -> float:
+    """Largest |forward - forward_naive_batch| over the rows of ``values`` and their frequencies."""
+    oracle = forward_naive_batch(base, values)
+    fast = (forward(StepFunction(base, row)).coeffs for row in values)
+    return max(_deviation(a, b) for a, b in zip(fast, oracle))
+
+
+def verify_round_trip(f: StepFunction) -> float:
+    """Largest pointwise |inverse(forward(f)) - f|."""
+    return _deviation(inverse(forward(f)).values, f.values)
+
+
+def verify_parseval(f: StepFunction) -> float:
+    """|(1/M_N) sum |f|^2 - sum |coeffs|^2|, Parseval's identity for the fast transform."""
+    return float(abs(np.mean(np.abs(f.values) ** 2) - np.sum(np.abs(forward(f).coeffs) ** 2)))
+
+
+def verify_convolution(f: StepFunction, g: StepFunction) -> float:
+    """Largest pointwise deviation of the direct :func:`convolve` from :func:`convolve_spectral`."""
+    return _deviation(convolve(f, g).values, convolve_spectral(f, g).values)
+
+
 def write_complex_csv(path, index_name: str, values: np.ndarray) -> None:
     """CSV with columns (index, re, im); repr floats, '.' decimal point."""
     lines = [f"{index_name},re,im"]

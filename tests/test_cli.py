@@ -313,6 +313,13 @@ class TestConfigAndUsage:
         code = cli.main(["converge", "--base", "2,3", "--corpus", "mystery"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["random:7", "constant:1", "smooth2:x", "constant:"])
+    def test_corpus_parameter_of_a_kind_that_takes_none(self, spec, capsys):
+        assert cli.main(["converge", "--base", "2,3", "--corpus", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and repr(spec) in captured.err
+        assert captured.out == ""
+
     def test_cap_enforced(self, capsys):
         code = cli.main(["verify", "--base", "2", "--depth", "13"])
         assert code == 2
@@ -344,6 +351,18 @@ class TestConfigAndUsage:
         captured = capsys.readouterr()
         assert "names no weight family" in captured.err
         assert captured.out == ""
+
+    def test_weight_list_takes_spaces_after_commas(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        argv = ["verify", "--base", "2,3", "--weights", "constant, cesaro:0.5", "--out", str(path)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        names = [c["name"] for c in json.loads(path.read_text())["checks"]]
+        assert [n for n in names if n.endswith("]")] == [
+            f"{check}[{tag}]" for tag in ("constant", "cesaro:0.5")
+            for check in ("abel_prefix_sum", "kernel_mass", "kernel_abel_identity",
+                          "mean_path_agreement", "block_kernel_split")
+        ]
 
     @pytest.mark.parametrize("spec", ["blog:inf:1", "blog:nan:1"])
     def test_non_finite_weight_parameter(self, spec, capsys):

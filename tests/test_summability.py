@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vilenkin import summability, transform
+from vilenkin import analysis, summability, transform
+from vilenkin.analysis import verify_young
 from vilenkin.group import VilenkinBase, order_stats
 from vilenkin.summability import (
     WeightSequence,
@@ -33,7 +34,17 @@ from vilenkin.summability import (
     verify_mean_paths,
     weights_from_spec,
 )
-from vilenkin.transform import StepFunction, character_values, forward, verify_orthonormality
+from vilenkin.transform import (
+    Spectrum,
+    StepFunction,
+    character_values,
+    forward,
+    verify_convolution,
+    verify_fast_vs_naive,
+    verify_orthonormality,
+    verify_parseval,
+    verify_round_trip,
+)
 
 BASE23 = VilenkinBase.parse("2,3")
 BASE232 = VilenkinBase.parse("2,3,2")
@@ -770,46 +781,64 @@ class TestCharacterStream:
             assert max((a * base.cumprod[j] for j, a in places), default=0) < limit
 
 
-class TestComplementIdentity:
-    def test_zero_offset_is_exact(self):
-        for r in range(BASE232.depth + 1):
-            assert verify_dirichlet_complement(BASE232, r, [0]) <= EXACT
+COMPLEMENT_BASES = ("2,3,2", "2,3", "2,2,2", "2,2,2,2,2,2,2,2,2", "5,2,2,2,2,2")
 
+
+def _complement_by_level(base):
+    """The complement residual of every level and offset, from public one-order kernels."""
+    worst = 0.0
+    for m_r in base.cumprod:
+        offsets = range(m_r) if m_r <= 128 else np.unique(np.linspace(0, m_r - 1, 128, dtype=int))
+        psi = character_values(base, m_r - 1)
+        top = dirichlet(base, m_r).values
+        for j in offsets:
+            low = dirichlet(base, int(j)).values if j else np.zeros(base.size)
+            rhs = top - psi * np.conj(low)
+            worst = max(worst, float(np.max(np.abs(dirichlet(base, m_r - int(j)).values - rhs))))
+    return worst
+
+
+class TestComplementIdentity:
     def test_exhaustive_base23(self):
-        base = BASE23
-        assert verify_dirichlet_complement(base, 2, range(base.cumprod[2])) <= EXACT
+        # every level has M_r <= 128, so every offset is checked
+        assert verify_dirichlet_complement(BASE23) <= EXACT
 
     def test_walsh_case(self):
-        base = VilenkinBase.parse("2,2,2")
-        assert verify_dirichlet_complement(base, 3, [3]) <= EXACT
+        assert verify_dirichlet_complement(VilenkinBase.parse("2,2,2")) <= EXACT
 
-    def test_offset_validation(self):
-        with pytest.raises(ValueError):
-            verify_dirichlet_complement(BASE232, 1, [0, 2])
+    @pytest.mark.parametrize("spec", COMPLEMENT_BASES)
+    def test_whole_group_holds(self, spec):
+        assert verify_dirichlet_complement(VilenkinBase.parse(spec)) <= COMPOSED
 
-    def test_levels_equal_one_offset_calls(self):
-        for r in range(BASE232.depth + 1):
-            offsets = range(BASE232.cumprod[r])
-            alone = max(verify_dirichlet_complement(BASE232, r, [j]) for j in offsets)
-            assert verify_dirichlet_complement(BASE232, r, offsets) == alone
+    @pytest.mark.parametrize("spec", COMPLEMENT_BASES)
+    def test_equals_a_loop_over_levels_and_offsets(self, spec):
+        # 5,2x5 has M_5 = 160 > 128: its top level takes the 128 spread offsets
+        base = VilenkinBase.parse(spec)
+        assert verify_dirichlet_complement(base) == _complement_by_level(base)
 
 
 class TestBlockKernelSplit:
     def test_constant_all_levels(self):
-        w = make_weights("constant")
-        for r in range(1, BASE232.depth + 1):
-            assert verify_block_kernel_split(w, BASE232, r) <= EXACT
+        assert verify_block_kernel_split(make_weights("constant"), BASE232) <= EXACT
 
-    def test_valpha_level_two(self):
-        assert verify_block_kernel_split(make_weights("valpha", alpha=0.5), BASE23, 2) <= COMPOSED
+    def test_valpha_all_levels(self):
+        assert verify_block_kernel_split(make_weights("valpha", alpha=0.5), BASE23) <= COMPOSED
 
-    def test_level_zero_excluded(self):
-        with pytest.raises(ValueError):
-            verify_block_kernel_split(make_weights("constant"), BASE232, 0)
+    @pytest.mark.parametrize("spec", ["2,3,2", "5,2,2"])
+    def test_equals_the_largest_level(self, spec):
+        base, w = VilenkinBase.parse(spec), make_weights("cesaro", alpha=0.5)
+        levels = [
+            np.max(np.abs(norlund_kernel(w, base, m).values - (
+                dirichlet(base, m).values
+                - character_values(base, m - 1) * np.conj(t_kernel(w, base, m).values)
+            )))
+            for m in base.cumprod[1:]
+        ]
+        assert verify_block_kernel_split(w, base) == max(levels)
 
     def test_monotonicity_precondition(self):
         with pytest.raises(ValueError):
-            verify_block_kernel_split(make_weights("blog", alpha=0.5, beta=1), BASE232, 1)
+            verify_block_kernel_split(make_weights("blog", alpha=0.5, beta=1), BASE232)
 
 
 class TestKernelMassAndTails:
@@ -939,10 +968,27 @@ def _scaled_middle_entry(q_prefix):
     return faulty
 
 
-def _scaled_table(make_table):
+def _scaled_table(make_table, factor=FAULT):
     def faulty(*args):
         table = make_table(*args)
-        return dataclasses.replace(table, values=table.values * FAULT)
+        return dataclasses.replace(table, values=table.values * factor)
+
+    return faulty
+
+
+def _scaled_tenfold(make_table):
+    # Young's bound has slack: ||f * g||_p / (||f||_p ||g||_1) is 0.2-0.42 on
+    # these random inputs over 2,3,2, 2,2,2,2, 3,3,3 and 5,2,2, so a 2x fault
+    # of the convolution read 0 on all four and a 4x fault on two.  Only a
+    # fault past the slack can show.
+    return _scaled_table(make_table, 10)
+
+
+def _scaled_coefficient_1(forward):
+    def faulty(f):
+        coeffs = forward(f).coeffs.copy()
+        coeffs[1] *= FAULT
+        return Spectrum(f.base, coeffs)
 
     return faulty
 
@@ -962,7 +1008,7 @@ def _scaled_first_entry(profile):
 
 
 def _scaled_psi_top(character_values):
-    # psi_{M_r - 1} of the level-2 complement on 2,3,2
+    # psi_{M_r - 1} of the level-2 complement on 2,3,2 (M_2 = 6)
     return lambda base, n: character_values(base, n) * (FAULT if n == 5 else 1.0)
 
 
@@ -986,14 +1032,25 @@ def _scaled_psi_top(character_values):
      lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
      COMPOSED),
     (summability, "_profile", _scaled_first_entry,
-     lambda: verify_dirichlet_complement(BASE232, 2, range(BASE232.cumprod[2])), COMPOSED),
+     lambda: verify_dirichlet_complement(BASE232), COMPOSED),
     (summability, "character_values", _scaled_psi_top,
-     lambda: verify_dirichlet_complement(BASE232, 2, range(BASE232.cumprod[2])), COMPOSED),
+     lambda: verify_dirichlet_complement(BASE232), COMPOSED),
     (summability, "t_kernel", _scaled_table,
-     lambda: verify_block_kernel_split(make_weights("cesaro", alpha=0.5), BASE232, 2), COMPOSED),
+     lambda: verify_block_kernel_split(make_weights("cesaro", alpha=0.5), BASE232), COMPOSED),
+    (transform, "forward", _scaled_coefficient_1,
+     lambda: verify_fast_vs_naive(BASE232, random_step(BASE232, 21).values[None]), EXACT),
+    (transform, "forward", _scaled_coefficient_1,
+     lambda: verify_round_trip(random_step(BASE232, 21)), EXACT),
+    (transform, "forward", _scaled_coefficient_1,
+     lambda: verify_parseval(random_step(BASE232, 21)), EXACT),
+    (transform, "convolve_spectral", _scaled_table,
+     lambda: verify_convolution(random_step(BASE232, 21), random_step(BASE232, 22)), COMPOSED),
+    (analysis, "convolve_spectral", _scaled_tenfold,
+     lambda: verify_young(random_step(BASE232, 21), random_step(BASE232, 22)), EXACT),
 ], ids=["orthonormality", "dirichlet_integral", "abel_prefix_sum", "abel_prefix_sum_q", "kernel_abel",
         "kernel_mass", "mean_paths", "mean_paths_stream", "dirichlet_complement",
-        "dirichlet_complement_psi", "block_kernel_split"])
+        "dirichlet_complement_psi", "block_kernel_split", "fast_vs_naive", "round_trip", "parseval",
+        "convolution", "young"])
 def test_shared_check_sees_a_fault(monkeypatch, owner, name, fault, residual, tolerance):
     assert residual() <= tolerance
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))

@@ -49,6 +49,9 @@ _CONVERGE = [
     # rows on a proper prefix group: M_K = 432 of 1296 and 900 of 1800
     "--base 2,3 --depth 8 --weights cesaro:0.5 --corpus random --n 200..300 --points 0,431,1295",
     "--base 2,3,5 --depth 7 --weights blog:0.5:1 --corpus coset:6 --n 40..110 --points 3,1799",
+    # the two corpus kinds no run above builds
+    "--base 2,3 --depth 5 --weights riesz_log --corpus constant --n 2..72 --points 0,71",
+    "--base 5,2 --depth 4 --weights norlund_log --corpus character:37 --n 2..100 --points 0,99",
 ]
 _KERNEL_DUMP = [
     "--base 2 --depth 9 --order 300 --weights cesaro:0.5",
