@@ -263,12 +263,15 @@ def records_to_csv(records: list[ConvergenceRecord], path) -> None:
     own row with the norm columns repeated.  Ordering follows the input.
     """
     lines = ["mean_kind,n,p,error,point_rank,point_error"]
+    p_texts: dict[float, str] = {}
+    points, point_texts = None, []  # the records of one sweep row share one dict
     for rec in records:
-        p_text = "inf" if rec.p == math.inf else f"{rec.p:g}"
-        lines.append(f"{rec.mean_kind},{rec.n},{p_text},{rec.error!r},,")
-        for rank in sorted(rec.point_errors):
-            lines.append(
-                f"{rec.mean_kind},{rec.n},{p_text},{rec.error!r},"
-                f"{rank},{rec.point_errors[rank]!r}"
-            )
+        if rec.p not in p_texts:
+            p_texts[rec.p] = "inf" if rec.p == math.inf else f"{rec.p:g}"
+        if rec.point_errors is not points:
+            points = rec.point_errors
+            point_texts = [f"{rank},{points[rank]!r}" for rank in sorted(points)]
+        norm = f"{rec.mean_kind},{rec.n},{p_texts[rec.p]},{rec.error!r},"
+        lines.append(norm + ",")
+        lines.extend(norm + text for text in point_texts)
     _write_text(path, "\n".join(lines) + "\n")

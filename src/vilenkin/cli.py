@@ -225,12 +225,22 @@ def cmd_converge(args) -> int:
     base = _resolve_base(args)
     f = corpus(args.corpus, base, args.seed)
     w = weights_from_spec(args.weights)
-    n_list = parse_n_list(f"1..{min(16, base.size)}" if args.n is None else args.n, base.size)
+    n_list = _default_orders(w, base) if args.n is None else parse_n_list(args.n, base.size)
     p_list = parse_p_list(args.p)
     points = parse_int_list(args.points)
     records = analysis.convergence_sweep(f, w, n_list, p_list, points)
     analysis.records_to_csv(records, args.out or sys.stdout)
     return 0
+
+
+def _default_orders(w, base) -> list[int]:
+    """The orders 1..min(16, M_N) whose mean exists, Q_n > 0."""
+    top = min(16, base.size)
+    Q = w.Q_prefix(top)
+    orders = [n for n in range(1, top + 1) if Q[n] > 0]
+    if not orders:
+        raise ValueError(f"no default order 1..{top} has Q_n > 0 for {w.kind}; pass --n")
+    return orders
 
 
 # ------------------------------------------------------------------ bench --
@@ -321,7 +331,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("converge", parents=[common], help="convergence sweep CSV")
     p_conv.add_argument("--weights", default="constant", help="one weight spec")
     p_conv.add_argument("--corpus", default="smooth2", help="test-function name")
-    p_conv.add_argument("--n", help="orders, e.g. 1..512 or 4,16,64 (default 1..min(16, M_N))")
+    p_conv.add_argument(
+        "--n", help="orders, e.g. 1..512 or 4,16,64 (default 1..min(16, M_N), less Q_n = 0)"
+    )
     p_conv.add_argument("--p", default="1,2,inf", help="norm exponents")
     p_conv.add_argument("--points", default="0", help="ranks for pointwise errors")
     p_conv.set_defaults(func=cmd_converge, parser=p_conv)

@@ -50,14 +50,14 @@ class StepFunction:
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         _check_same_base(self, other)
-        return StepFunction(self.base, self.values + other.values)
+        return _adopt(StepFunction, self.base, self.values + other.values)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         _check_same_base(self, other)
-        return StepFunction(self.base, self.values - other.values)
+        return _adopt(StepFunction, self.base, self.values - other.values)
 
     def __mul__(self, scalar: complex) -> "StepFunction":
-        return StepFunction(self.base, self.values * scalar)
+        return _adopt(StepFunction, self.base, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -66,7 +66,7 @@ class StepFunction:
 
     @classmethod
     def from_csv(cls, base: VilenkinBase, path) -> "StepFunction":
-        return cls(base, read_complex_csv(path, base.size))
+        return _adopt(StepFunction, base, read_complex_csv(path, base.size))
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,38 @@ class Spectrum:
 
     @classmethod
     def from_csv(cls, base: VilenkinBase, path) -> "Spectrum":
-        return cls(base, read_complex_csv(path, base.size))
+        return _adopt(Spectrum, base, read_complex_csv(path, base.size))
+
+
+# The array field of each frozen container, and the noun and owner its errors name.
+_FIELDS = {
+    StepFunction: ("values", "value", "a step function"),
+    Spectrum: ("coeffs", "coefficient", "a spectrum"),
+}
+
+
+def _adopt(cls, base: VilenkinBase, data: np.ndarray):
+    """A ``cls`` on ``data`` itself, checked and set read-only but not copied.
+
+    Only for arrays this module has just made and that nothing else holds;
+    the public constructors copy, so a caller's array never aliases a
+    frozen one.
+    """
+    field, noun, owner = _FIELDS[cls]
+    out = object.__new__(cls)
+    object.__setattr__(out, "base", base)
+    data = np.asarray(data, dtype=np.complex128)
+    object.__setattr__(out, field, _checked(base, data, noun, owner))
+    return out
 
 
 def _frozen(base: VilenkinBase, data, noun: str, owner: str) -> np.ndarray:
     """A read-only complex copy of ``data``: one finite entry per rank of ``base``."""
-    out = np.array(data, dtype=np.complex128)
+    return _checked(base, np.array(data, dtype=np.complex128), noun, owner)
+
+
+def _checked(base: VilenkinBase, out: np.ndarray, noun: str, owner: str) -> np.ndarray:
+    """``out`` itself, set read-only once it holds one finite entry per rank of ``base``."""
     if out.shape != (base.size,):
         raise ValueError(f"expected {base.size} {noun}s for {base}, got shape {out.shape}")
     if not np.isfinite(out).all():
@@ -233,12 +259,14 @@ def _separable_apply(base: VilenkinBase, vec: np.ndarray, sign: int) -> np.ndarr
 
 def forward(f: StepFunction) -> Spectrum:
     """Fast transform: coeffs[n] = (1/M_N) * sum_x f(x) * conj(psi_n(x))."""
-    return Spectrum(f.base, _separable_apply(f.base, f.values, -1) / f.base.size)
+    coeffs = _separable_apply(f.base, f.values, -1)
+    coeffs /= f.base.size
+    return _adopt(Spectrum, f.base, coeffs)
 
 
 def inverse(spectrum: Spectrum) -> StepFunction:
     """Reconstruction sum_n coeffs[n] * psi_n, exact on depth-N data."""
-    return StepFunction(spectrum.base, _separable_apply(spectrum.base, spectrum.coeffs, +1))
+    return _adopt(StepFunction, spectrum.base, _separable_apply(spectrum.base, spectrum.coeffs, +1))
 
 
 def _naive_block_size(size: int) -> int:
@@ -301,7 +329,7 @@ def convolve_spectral(f: StepFunction, g: StepFunction) -> StepFunction:
     """Convolution through the spectrum: coefficients multiply pointwise."""
     _check_same_base(f, g)
     product = forward(f).coeffs * forward(g).coeffs
-    return inverse(Spectrum(f.base, product))
+    return inverse(_adopt(Spectrum, f.base, product))
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> float:
@@ -331,11 +359,16 @@ def verify_convolution(f: StepFunction, g: StepFunction) -> float:
 
 
 def write_complex_csv(path, index_name: str, values: np.ndarray) -> None:
-    """CSV with columns (index, re, im); repr floats, '.' decimal point."""
-    lines = [f"{index_name},re,im"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    """CSV with columns (index, re, im); repr floats, '.' decimal point.
+
+    A list's repr joins the reprs of its floats with ", ", so each column's
+    strings come from one ``repr`` of the whole column.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    re_text = repr(values.real.tolist())[1:-1].split(", ")
+    im_text = repr(values.imag.tolist())[1:-1].split(", ")
+    rows = [f"{i},{re},{im}\n" for i, re, im in zip(range(len(values)), re_text, im_text)]
+    _write_text(path, f"{index_name},re,im\n" + "".join(rows))
 
 
 def _write_text(path, text: str) -> None:
@@ -351,7 +384,11 @@ def read_complex_csv(path, expected_length: int) -> np.ndarray:
     """Read the (index, re, im) rows of :func:`write_complex_csv`.
 
     Row i must carry index i and finite values; any other row raises
-    ``ValueError`` naming its line.
+    ``ValueError`` naming its line.  Blank lines are skipped.  All rows are
+    parsed by one ``np.loadtxt`` call, whose result stands only when every
+    index is its row number and every value finite; on any other outcome the
+    rows are read again one at a time, which names the first bad line and
+    also takes what ``float`` accepts and ``loadtxt`` does not (``1_0.5``).
     """
     if hasattr(path, "read"):
         lines = path.read().splitlines()
@@ -361,7 +398,32 @@ def read_complex_csv(path, expected_length: int) -> np.ndarray:
     rows = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(rows) != expected_length:
         raise ValueError(f"expected {expected_length} rows, got {len(rows)}")
-    out = np.empty(expected_length, dtype=np.complex128)
+    bulk = _read_rows_bulk([line for _, line in rows])
+    return bulk if bulk is not None else _read_rows_one_at_a_time(rows)
+
+
+_CSV_ROW = np.dtype([("index", np.int64), ("re", np.float64), ("im", np.float64)])
+
+
+def _read_rows_bulk(lines: list[str]) -> np.ndarray | None:
+    """The values of ``lines`` by one ``np.loadtxt``; None unless row i is (i, finite, finite)."""
+    if not lines:
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, dtype=_CSV_ROW, ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != len(lines) or not np.array_equal(table["index"], np.arange(len(lines))):
+        return None
+    out = np.empty(len(lines), dtype=np.complex128)
+    out.real = table["re"]
+    out.imag = table["im"]
+    return out if np.isfinite(out).all() else None
+
+
+def _read_rows_one_at_a_time(rows: list[tuple[int, str]]) -> np.ndarray:
+    """The values of the numbered ``rows``; raises ``ValueError`` naming the first bad line."""
+    out = np.empty(len(rows), dtype=np.complex128)
     for i, (number, line) in enumerate(rows):
         try:
             idx, re_part, im_part = line.split(",")

@@ -324,6 +324,26 @@ class TestConvergenceSweep:
         assert len(lines) == 1 + 2 * 2 * (1 + 2)
         assert any(",inf," in line for line in lines[1:])
 
+    def test_csv_rows_equal_one_format_per_record(self):
+        shared, other = {3: 0.1, 0: 2.5e-17}, {1: 1e16}
+        records = [
+            ConvergenceRecord("cesaro:0.5", 4, 1.0, 0.3, shared),
+            ConvergenceRecord("cesaro:0.5", 4, 2.5, 0.2, shared),
+            ConvergenceRecord("partial_sum", 4, math.inf, 5e-324, other),
+            ConvergenceRecord("cesaro:0.5", 5, 1.0, -0.0, shared),
+            ConvergenceRecord("cesaro:0.5", 6, 1.0, 0.4, {}),
+        ]
+        lines = ["mean_kind,n,p,error,point_rank,point_error"]
+        for rec in records:
+            p_text = "inf" if rec.p == math.inf else f"{rec.p:g}"
+            lines.append(f"{rec.mean_kind},{rec.n},{p_text},{rec.error!r},,")
+            for rank in sorted(rec.point_errors):
+                point = f"{rank},{rec.point_errors[rank]!r}"
+                lines.append(f"{rec.mean_kind},{rec.n},{p_text},{rec.error!r},{point}")
+        buf = io.StringIO()
+        records_to_csv(records, buf)
+        assert buf.getvalue() == "\n".join(lines) + "\n"
+
 
 def chunk_rows(base):
     """Rows per stage-engine call of the chunked synthesis on ``base``."""

@@ -153,6 +153,31 @@ class TestConvergeCommand:
         assert code == 0
         assert out.splitlines()[0] == "mean_kind,n,p,error,point_rank,point_error"
 
+    @pytest.mark.parametrize("weights, first", [
+        ("riesz_log", 2), ("norlund_log", 2), ("blog:0.5:1", 3),
+    ])
+    def test_default_orders_skip_zero_q(self, weights, first, capsys):
+        code = cli.main(["converge", "--base", "2,3,2", "--weights", weights])
+        out = capsys.readouterr().out
+        assert code == 0
+        orders = sorted({int(line.split(",")[1]) for line in out.splitlines()[1:]})
+        assert orders == list(range(first, 13))
+
+    def test_no_default_order_left(self, capsys):
+        argv = ["converge", "--base", "2", "--depth", "1", "--corpus", "random",
+                "--weights", "blog:0.5:1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no default order 1..2 has Q_n > 0 for blog:0.5:1; pass --n\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("weights", ["riesz_log", "norlund_log", "blog:0.5:1"])
+    def test_explicit_order_with_zero_q_still_rejected(self, weights, capsys):
+        assert cli.main(["converge", "--base", "2,3,2", "--weights", weights, "--n", "1..4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: degenerate weights: Q_1 = 0 for {weights}\n"
+        assert captured.out == ""
+
     def test_n_range_validation(self, capsys):
         code = cli.main(["converge", "--base", "2,3", "--n", "1..99"])
         assert code == 2

@@ -1,6 +1,7 @@
 """Characters, fast-vs-naive transform agreement and convolution."""
 
 import io
+import re
 import time
 import tracemalloc
 
@@ -410,6 +411,124 @@ class TestSerialization:
     def test_row_count_enforced(self):
         with pytest.raises(ValueError, match="expected 4 rows, got 3"):
             read_complex_csv(io.StringIO("n,re,im\n0,1,0\n1,1,0\n2,1,0\n"), 4)
+
+
+class TestAdoption:
+    """Results built by the module are adopted without a copy; caller arrays are copied."""
+
+    BASE = VilenkinBase.parse("2,3,2")
+
+    def results(self):
+        f, g = random_step(self.BASE, 21), random_step(self.BASE, 22)
+        spectrum = forward(f)
+        buf = io.StringIO()
+        f.to_csv(buf)
+        text = buf.getvalue()
+        return [
+            ("forward", forward(f), [f.values]),
+            ("inverse", inverse(spectrum), [spectrum.coeffs]),
+            ("convolve_spectral", convolve_spectral(f, g), [f.values, g.values]),
+            ("StepFunction.from_csv", StepFunction.from_csv(self.BASE, io.StringIO(text)), []),
+            ("Spectrum.from_csv", Spectrum.from_csv(self.BASE, io.StringIO(text)), []),
+            ("add", f + g, [f.values, g.values]),
+            ("sub", f - g, [f.values, g.values]),
+            ("mul", 2.5 * f, [f.values]),
+        ]
+
+    def test_results_are_read_only_and_alias_no_input(self):
+        for name, result, inputs in self.results():
+            array = result.coeffs if isinstance(result, Spectrum) else result.values
+            assert array.dtype == np.complex128, name
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+            for source in inputs:
+                assert not np.shares_memory(array, source), name
+
+    @pytest.mark.parametrize("cls, field", [(StepFunction, "values"), (Spectrum, "coeffs")])
+    def test_public_constructors_copy(self, cls, field):
+        data = np.arange(self.BASE.size, dtype=np.complex128)
+        frozen = cls(self.BASE, data)
+        data[:] = -1
+        assert np.array_equal(getattr(frozen, field), np.arange(self.BASE.size))
+        assert not np.shares_memory(getattr(frozen, field), data)
+
+    def test_adopted_arrays_keep_the_finiteness_check(self):
+        base = VilenkinBase.parse("2,2,2,2")
+        huge = StepFunction(base, np.full(base.size, 1.7e308))
+        # 1e200 transforms to a finite spectrum whose square overflows
+        large = StepFunction(base, np.full(base.size, 1e200))
+        cases = [
+            (lambda: forward(huge), "non-finite coefficient in a spectrum on G(2,2,2,2)"),
+            (lambda: inverse(Spectrum(base, np.full(base.size, 1.7e308))),
+             "non-finite value in a step function on G(2,2,2,2)"),
+            (lambda: convolve_spectral(huge, huge),
+             "non-finite coefficient in a spectrum on G(2,2,2,2)"),
+            (lambda: convolve_spectral(large, large),
+             "non-finite coefficient in a spectrum on G(2,2,2,2)"),
+            (lambda: huge + huge, "non-finite value in a step function on G(2,2,2,2)"),
+            (lambda: huge - (-1) * huge, "non-finite value in a step function on G(2,2,2,2)"),
+            (lambda: huge * 2, "non-finite value in a step function on G(2,2,2,2)"),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call, message in cases:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    call()
+
+    def test_scalar_of_wider_type_gives_complex128(self):
+        f = random_step(self.BASE, 23)
+        product = f * np.longdouble(3)
+        assert product.values.dtype == np.complex128
+        assert np.array_equal(product.values, f.values * 3)
+
+
+class TestCsvEquivalence:
+    """The column-at-a-time writer and the bulk reader give the line-at-a-time results."""
+
+    @staticmethod
+    def read(rows, n):
+        return read_complex_csv(io.StringIO("\n".join(["n,re,im"] + rows) + "\n"), n)
+
+    @pytest.mark.parametrize("index", ["1.0", "#1"])
+    def test_index_only_int_accepts_is_rejected(self, index):
+        message = f"line 3: expected 'index,re,im', got '{index},2.0,0.0'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.read(["0,1.0,0.0", f"{index},2.0,0.0"], 2)
+
+    def test_whitespace_signs_and_underscores(self):
+        rows = ["0,1.0,0.0", "   ", " 1 , 2.5 , -0.0 ", "\t", "+2,1_0.5,-3"]
+        got = self.read(rows, 3)
+        assert np.array_equal(got, [1.0, 2.5, complex(10.5, -3.0)])
+        assert np.signbit(got[1].imag)
+
+    def test_crlf_line_ends(self):
+        text = "n,re,im\r\n0,1.5,-2.0\r\n1,0.25,3.0\r\n\r\n"
+        assert np.array_equal(read_complex_csv(io.StringIO(text), 2), [1.5 - 2j, 0.25 + 3j])
+
+    def test_writer_bytes_equal_one_repr_per_value(self):
+        special = [-0.0, 5e-324, 1e16, 1e-5, 123456789.0, 0.1, -2.5e-310, 1.7976931348623157e308]
+        values = np.array(special, dtype=float) + 1j * np.array(special[::-1], dtype=float)
+        buf = io.StringIO()
+        transform.write_complex_csv(buf, "n", values)
+        reference = "n,re,im\n" + "".join(
+            f"{i},{float(v.real)!r},{float(v.imag)!r}\n" for i, v in enumerate(values)
+        )
+        assert buf.getvalue() == reference
+
+    def test_large_spectrum_round_trips_through_the_bulk_path(self, monkeypatch):
+        base = VilenkinBase.parse("2", 16)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(base.size) * 10.0 ** rng.integers(-300, 300, base.size)
+        s = Spectrum(base, values + 1j * rng.standard_normal(base.size))
+        buf = io.StringIO()
+        s.to_csv(buf)
+
+        def no_fallback(rows):
+            raise AssertionError("a well-formed file fell back to the line loop")
+
+        monkeypatch.setattr(transform, "_read_rows_one_at_a_time", no_fallback)
+        back = Spectrum.from_csv(base, io.StringIO(buf.getvalue()))
+        assert np.array_equal(back.coeffs.view(np.int64), s.coeffs.view(np.int64))
 
 
 class TestComplexityTrend:
