@@ -44,8 +44,8 @@ import numpy as np
 
 from .group import VilenkinBase, coset_members, order_stats
 from .transform import (
-    Spectrum, StepFunction, _character_rows, _deviation, _separable_apply, character_values,
-    forward, inverse,
+    Spectrum, StepFunction, _adopt, _character_rows, _deviation, _separable_apply,
+    character_values, forward, inverse,
 )
 
 # The parameters of each weight kind's spec, e.g. "blog:alpha:beta".
@@ -327,7 +327,9 @@ def _synthesize(base: VilenkinBase, coeffs: np.ndarray, profiles):
     bits of a call on it alone.  A one-row chunk calls the public
     :func:`inverse` on its prefix group instead, only so that the span
     tracer of ``perfbench`` sees the inverse transform under a public kernel
-    builder (its ``summability.kernel.transform_share``).
+    builder (its ``summability.kernel.transform_share``).  So with one
+    profile the one row yielded is an array nothing else holds (that
+    inverse's values or the tiled copy), which its callers adopt.
     """
     keyed = ((base.covering(max(len(p), _PREFIX_FLOOR)), p) for p in profiles)
     for group, run in itertools.groupby(keyed, key=lambda item: item[0]):
@@ -339,7 +341,7 @@ def _synthesize(base: VilenkinBase, coeffs: np.ndarray, profiles):
             for row, p in zip(product, chunk):
                 row[: len(p)] = coeffs[: len(p)] * p
             if len(product) == 1:
-                rows = [inverse(Spectrum(group, product[0])).values]
+                rows = [inverse(_adopt(Spectrum, group, product[0])).values]
             else:
                 rows = _separable_apply(group, product, +1)
             for row in rows:
@@ -349,7 +351,7 @@ def _synthesize(base: VilenkinBase, coeffs: np.ndarray, profiles):
 def _kernel(kind: str, w: WeightSequence | None, base: VilenkinBase, n: int) -> StepFunction:
     """The order-n kernel of ``kind``: its profile on the unit spectrum, after the order check."""
     _check_order(base, n)
-    return StepFunction(base, next(_synthesize(base, np.ones(n), [_profile(kind, w, n)])))
+    return _adopt(StepFunction, base, next(_synthesize(base, np.ones(n), [_profile(kind, w, n)])))
 
 
 def dirichlet(base: VilenkinBase, n: int) -> StepFunction:
@@ -386,7 +388,7 @@ def partial_sum(f: StepFunction, n: int) -> StepFunction:
     if not 0 <= n <= f.base.size:
         raise ValueError(f"partial-sum order {n} outside [0, {f.base.size}]")
     profile = _profile("dirichlet", None, n)
-    return StepFunction(f.base, next(_synthesize(f.base, forward(f).coeffs, [profile])))
+    return _adopt(StepFunction, f.base, next(_synthesize(f.base, forward(f).coeffs, [profile])))
 
 
 MEAN_METHODS = ("direct", "kernel", "abel")
@@ -404,11 +406,11 @@ def mean(f: StepFunction, w: WeightSequence, n: int, method: str = "direct") -> 
     _check_mean(base, w, n)
     if method == "kernel":
         profile = _profile(w.mean_type, w, n)
-        return StepFunction(base, next(_synthesize(base, forward(f).coeffs, [profile])))
+        return _adopt(StepFunction, base, next(_synthesize(base, forward(f).coeffs, [profile])))
     if method not in MEAN_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {MEAN_METHODS}")
     direct, abel = _abel_accumulate(base, forward(f).coeffs, [(w, n)])
-    return StepFunction(base, direct[0] if method == "direct" else abel[0])
+    return _adopt(StepFunction, base, direct[0] if method == "direct" else abel[0])
 
 
 def _check_mean(base: VilenkinBase, w: WeightSequence, n: int) -> None:

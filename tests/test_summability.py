@@ -677,6 +677,38 @@ class TestPrefixSynthesis:
             mean(f, w, 300, "kernel")
 
 
+class TestAdoptedResults:
+    """Kernels, means, partial sums and the two transform oracles keep their fresh arrays uncopied."""
+
+    # 12 points: one-row inverse on the whole group; 1024: a prefix-group row tiled to M_N
+    @pytest.mark.parametrize("spec, depth, n", [("2,3,2", 3, 7), ("2", 10, 100)])
+    def test_read_only_and_sharing_no_memory(self, spec, depth, n):
+        base = VilenkinBase.parse(spec, depth)
+        rng = np.random.default_rng(n)
+        f = StepFunction(base, rng.uniform(-1, 1, base.size))
+        g = StepFunction(base, rng.uniform(-1, 1, base.size) + 1j * rng.uniform(-1, 1, base.size))
+        w = make_weights("cesaro", alpha=0.5)
+        results = {
+            "dirichlet": dirichlet(base, n),
+            "dirichlet again": dirichlet(base, n),
+            "fejer_kernel": fejer_kernel(base, n),
+            "norlund_kernel": norlund_kernel(w, base, n),
+            "t_kernel": t_kernel(w, base, n),
+            "partial_sum": partial_sum(f, n),
+            **{f"mean {method}": mean(f, w, n, method) for method in summability.MEAN_METHODS},
+            "forward_naive": transform.forward_naive(f),
+            "convolve": transform.convolve(f, g),
+        }
+        arrays = {name: r.coeffs if isinstance(r, Spectrum) else r.values for name, r in results.items()}
+        for name, array in arrays.items():
+            assert array.dtype == np.complex128, name
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+            others = [a for other, a in arrays.items() if other != name] + [f.values, g.values]
+            assert not any(np.shares_memory(array, a) for a in others), name
+
+
 class TestAbelIdentities:
     @pytest.mark.parametrize("spec", ALL_FAMILIES)
     def test_prefix_sum_rebuild(self, spec):

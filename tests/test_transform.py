@@ -199,6 +199,40 @@ def radix_lists(draw):
     return radices
 
 
+def assert_matches_naive_and_round_trips(f):
+    coeffs = forward(f).coeffs
+    assert np.max(np.abs(coeffs - forward_naive(f).coeffs)) <= EXACT
+    assert np.max(np.abs(inverse(Spectrum(f.base, coeffs)).values - f.values)) <= EXACT
+
+
+def assert_walsh_equals_hadamard(depth):
+    # psi_n(x) = (-1)^popcount(n & x): the Sylvester-Hadamard matrix
+    base = VilenkinBase.parse("2").with_depth(depth)
+    hadamard = np.ones((1, 1))
+    for _ in range(base.depth):
+        hadamard = np.kron(hadamard, [[1, 1], [1, -1]])
+    coeffs = np.random.default_rng(1).integers(-9, 10, base.size).astype(complex)
+    np.testing.assert_array_equal(inverse(Spectrum(base, coeffs)).values, hadamard @ coeffs)
+    return base
+
+
+def assert_rows_equal_one_row_calls(spec, rows, sign):
+    # a (rows, M_N) stack gives each row the bits of a call on it alone
+    base = VilenkinBase.parse(spec).with_depth(3)
+    rng = np.random.default_rng(rows)
+    stack = rng.uniform(-1, 1, (rows, base.size)) + 1j * rng.uniform(-1, 1, (rows, base.size))
+    out = transform._separable_apply(base, stack, sign)
+    assert out.shape == (rows, base.size)
+    for row, got in zip(stack, out):
+        alone = transform._separable_apply(base, row, sign)
+        assert alone.shape == (base.size,)
+        assert np.array_equal(got.view(float), alone.view(float))
+    return base
+
+
+ROW_AXIS_SPECS = ["2", "3", "5", "7", "16", "2,3,5", "5,2"]
+
+
 class TestStages:
     """Each stage kernel: the radix-2 butterfly and the DFT-matrix product."""
 
@@ -211,42 +245,90 @@ class TestStages:
         "16,16",  # the largest radix
     ])
     def test_against_naive_and_round_trip(self, spec):
-        f = random_step(VilenkinBase.parse(spec), 7)
-        coeffs = forward(f).coeffs
-        assert np.max(np.abs(coeffs - forward_naive(f).coeffs)) <= EXACT
-        assert np.max(np.abs(inverse(Spectrum(f.base, coeffs)).values - f.values)) <= EXACT
+        assert_matches_naive_and_round_trips(random_step(VilenkinBase.parse(spec), 7))
 
     def test_walsh_butterflies_are_exact(self):
-        # psi_n(x) = (-1)^popcount(n & x): the Sylvester-Hadamard matrix
-        base = VilenkinBase.parse("2").with_depth(6)
-        hadamard = np.ones((1, 1))
-        for _ in range(base.depth):
-            hadamard = np.kron(hadamard, [[1, 1], [1, -1]])
-        coeffs = np.random.default_rng(1).integers(-9, 10, base.size).astype(complex)
-        np.testing.assert_array_equal(inverse(Spectrum(base, coeffs)).values, hadamard @ coeffs)
+        assert_walsh_equals_hadamard(6)
 
     @pytest.mark.parametrize("sign", [-1, +1])
-    @pytest.mark.parametrize("spec", ["2", "3", "5", "7", "16", "2,3,5", "5,2"])
+    @pytest.mark.parametrize("spec", ROW_AXIS_SPECS)
     @pytest.mark.parametrize("rows", [0, 1, 9])
     def test_row_axis_equals_one_row_calls(self, spec, rows, sign):
-        # a (rows, M_N) stack gives each row the bits of a call on it alone
-        base = VilenkinBase.parse(spec).with_depth(3)
-        rng = np.random.default_rng(rows)
-        stack = rng.uniform(-1, 1, (rows, base.size)) + 1j * rng.uniform(-1, 1, (rows, base.size))
-        out = transform._separable_apply(base, stack, sign)
-        assert out.shape == (rows, base.size)
-        for row, got in zip(stack, out):
-            alone = transform._separable_apply(base, row, sign)
-            assert alone.shape == (base.size,)
-            assert np.array_equal(got.view(float), alone.view(float))
+        assert_rows_equal_one_row_calls(spec, rows, sign)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(radices=radix_lists(), seed=st.integers(0, 2**32 - 1))
     def test_random_radix_lists(self, radices, seed):
-        f = random_step(VilenkinBase(tuple(radices)), seed)
-        coeffs = forward(f).coeffs
-        assert np.max(np.abs(coeffs - forward_naive(f).coeffs)) <= EXACT
-        assert np.max(np.abs(inverse(Spectrum(f.base, coeffs)).values - f.values)) <= EXACT
+        assert_matches_naive_and_round_trips(random_step(VilenkinBase(tuple(radices)), seed))
+
+
+class TestTwoPass:
+    """The cache-blocked engine above ``_BLOCK_VALUES``; small groups reach it under a patched block."""
+
+    @pytest.fixture
+    def two_pass_calls(self, monkeypatch):
+        # a block of 4 values, and a count of the rows that went through the two passes
+        monkeypatch.setattr(transform, "_BLOCK_VALUES", 4)
+        calls = []
+        two_pass = transform._two_pass
+
+        def counted(base, vec, sign, out):
+            calls.append(base.size)
+            two_pass(base, vec, sign, out)
+
+        monkeypatch.setattr(transform, "_two_pass", counted)
+        return calls
+
+    @pytest.mark.parametrize("block", [8, 16])
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(radices=radix_lists(), seed=st.integers(0, 2**32 - 1))
+    def test_random_radix_lists(self, block, radices, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transform, "_BLOCK_VALUES", block)
+            assert_matches_naive_and_round_trips(random_step(VilenkinBase(tuple(radices)), seed))
+
+    @pytest.mark.parametrize("spec", ["32,2,2", "32,3", "9,2,2", "2,2,16,3"])
+    def test_first_radix_above_the_block(self, spec, two_pass_calls):
+        # the low group is the first digit alone, wider than the block
+        base = VilenkinBase.parse(spec)
+        assert_matches_naive_and_round_trips(random_step(base, 3))
+        assert two_pass_calls == [base.size] * 2
+
+    @pytest.mark.parametrize("depth", [4, 6, 7])
+    def test_walsh_butterflies_are_exact(self, depth, two_pass_calls):
+        base = assert_walsh_equals_hadamard(depth)
+        assert two_pass_calls == [base.size]
+
+    @pytest.mark.parametrize("sign", [-1, +1])
+    @pytest.mark.parametrize("spec", ROW_AXIS_SPECS)
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_row_axis_equals_one_row_calls(self, spec, rows, sign, two_pass_calls):
+        base = assert_rows_equal_one_row_calls(spec, rows, sign)
+        assert two_pass_calls == [base.size] * (2 * rows)  # the stack, then each row alone
+
+    @pytest.mark.parametrize("sign", [-1, +1])
+    @pytest.mark.parametrize("depth", [16, 17])
+    def test_walsh_bits_equal_the_whole_vector_loop(self, depth, sign):
+        # at the real block size, the butterflies of both passes add and subtract the same pairs
+        base = VilenkinBase.parse("2", depth)
+        assert base.size > transform._BLOCK_VALUES
+        rng = np.random.default_rng(depth)
+        vec = rng.uniform(-1, 1, base.size) + 1j * rng.uniform(-1, 1, base.size)
+        whole = np.empty(base.size, dtype=np.complex128)
+        transform._stages(base.radices, vec[None], sign, whole[None])
+        assert np.array_equal(transform._separable_apply(base, vec, sign).view(float), whole.view(float))
+
+    def test_scratch_is_one_output_and_a_few_blocks(self):
+        # a whole-vector stage loop holds two M_N-sized arrays at once
+        base = VilenkinBase.parse("2", 18)
+        vec = random_step(base, 4).values
+        tracemalloc.start()
+        try:
+            transform._separable_apply(base, vec, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (base.size + 4 * transform._BLOCK_VALUES)
 
 
 class TestInverse:
@@ -500,6 +582,11 @@ class TestCsvEquivalence:
         got = self.read(rows, 3)
         assert np.array_equal(got, [1.0, 2.5, complex(10.5, -3.0)])
         assert np.signbit(got[1].imag)
+
+    def test_bad_line_numbers_count_blank_lines(self):
+        rows = ["0,1.0,0.0", "", "  ", "1,2.0,0.0", "\t", "2,x,0.0"]
+        with pytest.raises(ValueError, match=re.escape("line 7: expected 'index,re,im', got '2,x,0.0'")):
+            self.read(rows, 3)
 
     def test_crlf_line_ends(self):
         text = "n,re,im\r\n0,1.5,-2.0\r\n1,0.25,3.0\r\n\r\n"

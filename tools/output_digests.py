@@ -67,6 +67,8 @@ _KERNEL_DUMP = [
     "--base 2 --depth 12 --order 1000 --weights norlund_log",
     "--base 16 --depth 3 --order 200 --kind fejer",
     "--base 2,3,5 --depth 7 --order 400 --weights riesz_log",
+    # a row on 2^17 points: the stage engine's two cache-blocked passes
+    "--base 2 --depth 17 --cap 131072 --order 100000 --weights cesaro:0.5",
 ]
 RUNS = ([f"verify {args}" for args in _VERIFY]
         + [f"converge {args}" for args in _CONVERGE]
