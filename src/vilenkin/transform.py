@@ -26,13 +26,29 @@ passes (the four-step split of D. H. Bailey, "FFTs in external or
 hierarchical memory", J. Supercomputing 4, 1990).  The digits split at the
 largest K with M_K <= ``_BLOCK_VALUES``, at least one digit, and the row is
 read as the (M_N/M_K, M_K) matrix.  Pass 1 runs the loop of the low group
-G(m_0..m_{K-1}) on blocks of whole rows.  Pass 2 copies blocks of columns,
-transforms each high digit on its own axis and writes them back, in natural
-order with no transpose.  Every group up to the block and every all-radix-2
-group keep the bits of the whole-vector loop; above the block, a matrix
-stage on a product of another shape may move the last bit (seen at radices
-3, 5 and 7 and on 2,3 x 12 and 2,3,5,7 x 8; 4^9, 8^6, 16^4, 16^5 and
-2,3,5 x 10 and x 12 kept every bit).
+G(m_0..m_{K-1}) on blocks of whole rows, alternating its stages between the
+block's own output rows and one spare block.  Pass 2 copies blocks of
+columns of half a block, ``_BLOCK_VALUES // 2`` values, transforms each
+high digit on its own axis between two half-block buffers and writes them
+back, in natural order with no transpose; the forward transform's 1/M_N
+rides on that write-back.
+
+The blocks of a pass are independent, and numpy lets go of the GIL inside
+its ufunc loops and ``matmul``, so each pass runs its blocks on two workers,
+the calling thread and one pool thread, each taking the next block when it
+has finished one, and ends only when both have stopped.  A worker held
+back by the system (a virtual CPU taken by its host, say) so leaves its
+blocks to the other rather than holding up the pass.  Each worker holds
+one block of scratch, which keeps a row's scratch at one output plus a
+few blocks; a third worker would not, so there are at most two, and one
+on a single usable CPU.  The pool and ``concurrent.futures`` are made by
+the first transform above the block, never at import.  Every group up to
+the block and every all-radix-2 group keep the bits of the whole-vector
+loop, and no group's bits depend on the number of workers or on which
+worker ran a block.  Above the block, a matrix stage on a product of
+another shape may move the last bit (seen at radices 3, 5 and 7 and on
+2,3 x 12 and x 13; 4^8, 4^9, 8^6, 16^4, 16^5, 2,3,5 x 10 and x 12 and
+2,3,5,7 x 8 kept every bit).
 
 Normalization: the forward transform carries the factor 1/M_N, so that
 coeffs[n] equals the exact Haar integral of f * conj(psi_n); the inverse
@@ -43,6 +59,9 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import os
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -262,39 +281,53 @@ def verify_orthonormality(base: VilenkinBase) -> float:
 _BLOCK_VALUES = 1 << 15
 
 
-def _separable_apply(base: VilenkinBase, vec: np.ndarray, sign: int) -> np.ndarray:
-    """The transform of each row: one size-m_k DFT stage per coordinate.
+def _separable_apply(base: VilenkinBase, vec: np.ndarray, sign: int, divisor: int = 1) -> np.ndarray:
+    """The transform of each row, divided by ``divisor``: one size-m_k DFT stage per coordinate.
 
     ``vec`` is one vector of M_N values or a (rows, M_N) stack, possibly of
     no rows; the result has its shape.  Up to M_N = ``_BLOCK_VALUES`` the
-    whole stack goes through :func:`_stages`; above it each row goes alone
-    through :func:`_two_pass`, so it keeps the bits of a call on it alone.
+    whole stack goes through :func:`_stages` and is divided in place; above
+    it each row goes alone through :func:`_two_pass`, so it keeps the bits
+    of a call on it alone, and the division rides on pass 2's write-back.
+    A divisor of 1 divides nothing.
     """
     a = np.asarray(vec, dtype=np.complex128)
     rows = a.reshape(-1, base.size)
     if base.size <= _BLOCK_VALUES:
-        return _stages(base.radices, rows, sign).reshape(a.shape)
+        out = _stages(base.radices, rows, sign).reshape(a.shape)
+        if divisor != 1:
+            out /= divisor
+        return out
     out = np.empty(a.shape, dtype=np.complex128)
     for row, row_out in zip(rows, out.reshape(-1, base.size)):
-        _two_pass(base, row, sign, row_out)
+        _two_pass(base, row, sign, row_out, divisor)
     return out
 
 
 def _stages(
-    radices: tuple[int, ...], a: np.ndarray, sign: int, out: np.ndarray | None = None
+    radices: tuple[int, ...],
+    a: np.ndarray,
+    sign: int,
+    out: np.ndarray | None = None,
+    spare: np.ndarray | None = None,
 ) -> np.ndarray:
     """The stage loop on the (rows, M) stack ``a``, M the product of ``radices``.
 
     Stage k works on the (rows, M/m_k, m_k) view and writes a new
     (rows, m_k, M/m_k) array, so the digits come out in natural order.  The
     last stage writes into the contiguous (rows, M) array ``out`` instead,
-    if one is given.
+    if one is given.  With a flat ``spare`` of at least rows * M values as
+    well, every stage writes into one of the two, alternately, ending in
+    ``out``, so the loop allocates nothing; the operations are the same.
     """
     rows, size = a.shape
+    last = len(radices) - 1
     for k, m in enumerate(radices):
         v = a.reshape(rows, size // m, m)
-        last = out is not None and k == len(radices) - 1
-        dest = out.reshape(rows, m, size // m) if last else None
+        if out is None or (spare is None and k < last):
+            dest = None
+        else:
+            dest = (out if (last - k) % 2 == 0 else spare[: rows * size]).reshape(rows, m, size // m)
         if m == 2:
             a = np.empty((rows, 2, size // 2), dtype=np.complex128) if dest is None else dest
             np.add(v[:, :, 0], v[:, :, 1], out=a[:, 0])
@@ -304,53 +337,118 @@ def _stages(
     return a.reshape(rows, size)
 
 
-def _two_pass(base: VilenkinBase, vec: np.ndarray, sign: int, out: np.ndarray) -> None:
-    """Write the transform of the vector ``vec`` into ``out`` in two cache-blocked passes.
+def _two_pass(base: VilenkinBase, vec: np.ndarray, sign: int, out: np.ndarray, divisor: int) -> None:
+    """Write the transform of ``vec``, divided by ``divisor``, into ``out`` in two cache-blocked passes.
 
     The digits split at the largest K with M_K <= ``_BLOCK_VALUES`` (at
     least one digit), and both vectors are read as the C-order
     (M_N/M_K, M_K) matrix whose row is the high rank and whose column is the
     low rank.  Pass 1 runs :func:`_stages` of G(m_0..m_{K-1}) on a block of
-    whole rows at a time, leaving each row in natural low-digit order.
-    Pass 2 copies a block of columns into a contiguous (M_N/M_K, b) array
-    and transforms each high digit j on the middle axis of its
-    (M_N/M_{j+1}, m_j, b M_j/M_K) view: the add/sub butterfly at radix 2,
-    else the DFT matrix times that view, broadcast over the leading axis,
-    written to a second block-sized buffer.  The digits stay in place, so
-    the block goes back to its columns in natural order.
+    whole rows at a time, between the block's own rows of ``out`` and one
+    spare block, leaving each row in natural low-digit order.  Pass 2 copies
+    a block of columns, ``_BLOCK_VALUES // 2`` values, into a contiguous
+    (M_N/M_K, b) array and transforms each high digit j on the middle axis
+    of its (M_N/M_{j+1}, m_j, b M_j/M_K) view: the add/sub butterfly at
+    radix 2, else the DFT matrix times that view, broadcast over the leading
+    axis, written to a second half-block buffer.  The digits stay in place,
+    so the block goes back to its columns in natural order, divided on the
+    way unless ``divisor`` is 1.  Each pass spreads its blocks over
+    :func:`_in_workers`, and each worker holds its own one block of scratch.
     """
     split = max(1, bisect.bisect_right(base.cumprod, _BLOCK_VALUES) - 1)
     low, high = base.radices[:split], base.radices[split:]
     width = base.cumprod[split]
     height = base.size // width
     src, dst = vec.reshape(height, width), out.reshape(height, width)
-    step = max(1, _BLOCK_VALUES // width)
-    for lo in range(0, height, step):
-        _stages(low, src[lo : lo + step], sign, dst[lo : lo + step])
-    step = max(1, _BLOCK_VALUES // height)
-    spare = np.empty((2, height * step), dtype=np.complex128)
-    for lo in range(0, width, step):
-        cols = dst[:, lo : lo + step]
-        block, other = (buf[: cols.size].reshape(height, -1) for buf in spare)
-        np.copyto(block, cols)
-        stride = block.shape[1]
-        for m in high:
-            v, w = block.reshape(-1, m, stride), other.reshape(-1, m, stride)
-            if m == 2:
-                np.add(v[:, 0], v[:, 1], out=w[:, 0])
-                np.subtract(v[:, 0], v[:, 1], out=w[:, 1])
+    rows = max(1, _BLOCK_VALUES // width)
+    cols = max(1, _BLOCK_VALUES // 2 // height)
+
+    def low_digits(starts: Iterator[int]) -> None:
+        spare = np.empty(rows * width, dtype=np.complex128) if len(low) > 1 else None
+        for lo in starts:
+            _stages(low, src[lo : lo + rows], sign, dst[lo : lo + rows], spare)
+
+    def high_digits(starts: Iterator[int]) -> None:
+        spare = np.empty((2, height * cols), dtype=np.complex128)
+        for lo in starts:
+            target = dst[:, lo : lo + cols]
+            block, other = (buf[: target.size].reshape(height, -1) for buf in spare)
+            np.copyto(block, target)
+            stride = block.shape[1]
+            for m in high:
+                v, w = block.reshape(-1, m, stride), other.reshape(-1, m, stride)
+                if m == 2:
+                    np.add(v[:, 0], v[:, 1], out=w[:, 0])
+                    np.subtract(v[:, 0], v[:, 1], out=w[:, 1])
+                else:
+                    np.matmul(_dft_matrix(m, sign), v, out=w)
+                block, other = other, block
+                stride *= m
+            if divisor == 1:
+                target[...] = block
             else:
-                np.matmul(_dft_matrix(m, sign), v, out=w)
-            block, other = other, block
-            stride *= m
-        cols[...] = block
+                np.divide(block, divisor, out=target)
+
+    _in_workers(low_digits, range(0, height, rows))
+    _in_workers(high_digits, range(0, width, cols))
+
+
+# (pid, executor) of the one pool thread of _in_workers, made by the first
+# transform above the block in this process, never at import.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _worker_count() -> int:
+    """Threads that share the blocks of a pass: the caller and at most one pool thread.
+
+    numpy lets go of the GIL inside its ufunc loops and ``matmul``, so two
+    threads run two blocks at once.  A third would hold a third block of
+    scratch, and two is the count measured.
+    """
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(2, usable)
+
+
+def _in_workers(run: Callable[[Iterator[int]], None], starts: range) -> None:
+    """Run the blocks at ``starts``: ``run`` takes an iterator of block starts and runs each.
+
+    With one worker, or one block, the caller runs them all.  Otherwise the
+    caller and the pool thread share one iterator, each taking the next
+    block when it has finished one, so a worker that the system holds back
+    leaves its blocks to the other instead of holding up the pass.
+    ``next`` on a range iterator is one step under the GIL, so every block
+    runs once.  The call returns or raises only once both have stopped, so
+    no worker still writes after it; a failing worker's exception is raised
+    then, the caller's first.  The worker a block falls to never changes
+    its bits.
+    """
+    shared = iter(starts)
+    if _worker_count() == 1 or len(starts) == 1:
+        run(shared)
+        return
+    later = _pool().submit(run, shared)
+    try:
+        run(shared)
+    finally:
+        later.exception()  # waits for the pool thread's blocks
+    later.result()
+
+
+def _pool():
+    """The one-thread executor of :func:`_in_workers`, made again in a forked child."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="vilenkin-block"))
+        return _POOL[1]
 
 
 def forward(f: StepFunction) -> Spectrum:
     """Fast transform: coeffs[n] = (1/M_N) * sum_x f(x) * conj(psi_n(x))."""
-    coeffs = _separable_apply(f.base, f.values, -1)
-    coeffs /= f.base.size
-    return _adopt(Spectrum, f.base, coeffs)
+    return _adopt(Spectrum, f.base, _separable_apply(f.base, f.values, -1, f.base.size))
 
 
 def inverse(spectrum: Spectrum) -> StepFunction:

@@ -475,6 +475,19 @@ def test_python_m_runs_from_an_uninstalled_checkout(base, code, tmp_path):
         assert done.stderr.startswith("error:")
 
 
+def test_a_two_pass_run_exits_with_its_block_thread_idle(tmp_path):
+    # a 2^16 kernel row runs the two passes on the worker threads; the idle
+    # pool thread must not keep the interpreter from exiting
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = ["--base", "2", "--depth", "16", "--cap", "65536", "--order", "50000", "--weights", "cesaro:0.5"]
+    done = subprocess.run(
+        [sys.executable, "-m", "vilenkin", "kernel-dump", *argv, "--out", str(tmp_path / "k.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len((tmp_path / "k.csv").read_text().splitlines()) == 1 + 2**16
+
+
 class TestFileErrors:
     @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
     def test_unwritable_out(self, command, tmp_path):

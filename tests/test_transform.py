@@ -1,9 +1,14 @@
 """Characters, fast-vs-naive transform agreement and convolution."""
 
 import io
+import os
 import re
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,7 @@ from vilenkin.transform import (
 )
 
 BASE232 = VilenkinBase.parse("2,3,2")
+SRC = Path(__file__).resolve().parent.parent / "src"
 EXACT = 1e-12
 
 
@@ -272,9 +278,9 @@ class TestTwoPass:
         calls = []
         two_pass = transform._two_pass
 
-        def counted(base, vec, sign, out):
+        def counted(base, vec, sign, out, divisor):
             calls.append(base.size)
-            two_pass(base, vec, sign, out)
+            two_pass(base, vec, sign, out, divisor)
 
         monkeypatch.setattr(transform, "_two_pass", counted)
         return calls
@@ -318,17 +324,146 @@ class TestTwoPass:
         transform._stages(base.radices, vec[None], sign, whole[None])
         assert np.array_equal(transform._separable_apply(base, vec, sign).view(float), whole.view(float))
 
-    def test_scratch_is_one_output_and_a_few_blocks(self):
-        # a whole-vector stage loop holds two M_N-sized arrays at once
-        base = VilenkinBase.parse("2", 18)
-        vec = random_step(base, 4).values
-        tracemalloc.start()
+    @pytest.mark.parametrize("block", [8, 16])
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(radices=radix_lists(), seed=st.integers(0, 2**32 - 1))
+    def test_random_radix_lists_on_two_workers(self, block, radices, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transform, "_BLOCK_VALUES", block)
+            patch.setattr(transform, "_worker_count", lambda: 2)
+            assert_matches_naive_and_round_trips(random_step(VilenkinBase(tuple(radices)), seed))
+
+    @pytest.mark.parametrize("sign", [-1, +1])
+    @pytest.mark.parametrize("spec", ROW_AXIS_SPECS)
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_row_axis_on_two_workers(self, spec, rows, sign, two_pass_calls, monkeypatch):
+        monkeypatch.setattr(transform, "_worker_count", lambda: 2)
+        base = assert_rows_equal_one_row_calls(spec, rows, sign)
+        assert two_pass_calls == [base.size] * (2 * rows)
+
+    @pytest.mark.parametrize("divisor", [1, 7])
+    @pytest.mark.parametrize("sign", [-1, +1])
+    @pytest.mark.parametrize("spec, depth", [("2", 17), ("2,3", 13), ("7", 6)])
+    def test_bits_do_not_depend_on_the_worker_count(self, spec, depth, sign, divisor, monkeypatch):
+        # at the real block, both passes have several blocks to share
+        base = VilenkinBase.parse(spec, depth)
+        assert base.size > transform._BLOCK_VALUES
+        rng = np.random.default_rng(depth)
+        stack = rng.uniform(-1, 1, (2, base.size)) + 1j * rng.uniform(-1, 1, (2, base.size))
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(transform, "_worker_count", lambda: workers)
+            results.append(transform._separable_apply(base, stack, sign, divisor))
+        assert np.array_equal(results[0].view(float), results[1].view(float))
+
+    def test_forward_divides_in_the_write_back(self):
+        # the same division of the same values as dividing the finished transform
+        base = VilenkinBase.parse("2,3,5", 10)
+        values = random_step(base, 6).values
+        whole = transform._separable_apply(base, values, -1)
+        whole /= base.size
+        assert np.array_equal(forward(StepFunction(base, values)).coeffs.view(float), whole.view(float))
+
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_a_failing_block_is_raised_once_every_block_finished(self, failing, monkeypatch):
+        # Walsh 2^17 has four pass-1 blocks; the failing worker fails its first,
+        # and the other, held back until then, runs the other three
+        monkeypatch.setattr(transform, "_worker_count", lambda: 2)
+        caller = threading.current_thread()
+        stages = transform._stages
+        failed = threading.Event()
+        finished = []
+
+        def failing_stages(radices, a, sign, out=None, spare=None):
+            in_pool = threading.current_thread() is not caller
+            if in_pool == (failing == "pool"):
+                failed.set()
+                raise RuntimeError(f"{failing} block failed")
+            assert failed.wait(timeout=30)
+            time.sleep(0.02)
+            stages(radices, a, sign, out, spare)
+            finished.append(in_pool)
+
+        monkeypatch.setattr(transform, "_stages", failing_stages)
+        f = random_step(VilenkinBase.parse("2", 17), 8)
+        with pytest.raises(RuntimeError, match=f"{failing} block failed"):
+            forward(f)
+        assert finished == [failing == "caller"] * 3  # the other worker's blocks, all done
+        monkeypatch.setattr(transform, "_stages", stages)
+        whole = transform._stages(f.base.radices, f.values[None], -1)[0] / f.base.size
+        assert np.array_equal(forward(f).coeffs.view(float), whole.view(float))
+
+    def test_concurrent_callers_share_the_pool_thread(self, monkeypatch):
+        # more calling threads than cores, switching often, on a pool made under the lock
+        monkeypatch.setattr(transform, "_worker_count", lambda: 2)
+        monkeypatch.setattr(transform, "_POOL", None)
+        base = VilenkinBase.parse("2", 16)
+        inputs = [random_step(base, seed) for seed in range(6)]
+        expected = [transform._stages(base.radices, f.values[None], -1)[0] / base.size for f in inputs]
+        equal = [[] for _ in inputs]
+
+        def call(i):
+            for _ in range(3):
+                equal[i].append(np.array_equal(forward(inputs[i]).coeffs.view(float), expected[i].view(float)))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            transform._separable_apply(base, vec, -1)
-            peak = tracemalloc.get_traced_memory()[1]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
-            tracemalloc.stop()
-        assert peak < 16 * (base.size + 4 * transform._BLOCK_VALUES)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert equal == [[True] * 3] * len(inputs)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_makes_its_own_pool_thread(self, tmp_path):
+        # the parent's pool thread does not exist in a child; the alarm ends a child that waits for it
+        script = (
+            "import os, signal, numpy as np\n"
+            "from vilenkin import transform\n"
+            "from vilenkin.group import VilenkinBase\n"
+            "transform._worker_count = lambda: 2\n"
+            "base = VilenkinBase.parse('2', 16)\n"
+            "vec = np.ones(base.size, dtype=complex)\n"
+            "transform._separable_apply(base, vec, -1)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)\n"
+            "    ok = transform._separable_apply(base, vec, -1)[0] == base.size\n"
+            "    os._exit(0 if ok else 1)\n"
+            "raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_scratch_is_one_output_and_a_few_blocks(self, monkeypatch):
+        # a whole-vector stage loop holds two M_N-sized arrays at once; each
+        # of the two workers holds one block, plus numpy's ufunc buffers
+        assert_scratch_is_one_output_and_a_few_blocks(VilenkinBase.parse("2", 18), monkeypatch)
+
+    def test_matrix_radix_scratch_is_one_output_and_a_few_blocks(self, monkeypatch):
+        # matrix stages in both passes, with two rows in each pass-1 block
+        assert_scratch_is_one_output_and_a_few_blocks(VilenkinBase.parse("5", 8), monkeypatch)
+
+
+def assert_scratch_is_one_output_and_a_few_blocks(base, monkeypatch):
+    monkeypatch.setattr(transform, "_worker_count", lambda: 2)
+    assert 2 * base.size > base.size + 4 * transform._BLOCK_VALUES
+    vec = random_step(base, 4).values
+    tracemalloc.start()
+    try:
+        transform._separable_apply(base, vec, -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (base.size + 4 * transform._BLOCK_VALUES)
 
 
 class TestInverse:
