@@ -36,8 +36,7 @@ def corpus(name: str, base: VilenkinBase, seed: int = 0) -> StepFunction:
             raise ValueError(f"coset depth {r} outside [0, {base.depth}]")
         rng = np.random.default_rng(seed)
         per_coset = rng.uniform(-1.0, 1.0, base.cumprod[r])
-        ranks = np.arange(base.size)
-        return StepFunction(base, per_coset[ranks % base.cumprod[r]])
+        return StepFunction(base, np.tile(per_coset, base.size // base.cumprod[r]))
     if kind == "spike":
         r = _int_arg(name, arg)
         if not 0 <= r <= base.depth:

@@ -27,32 +27,36 @@ hierarchical memory", J. Supercomputing 4, 1990).  The digits split at the
 largest K with M_K <= ``_BLOCK_VALUES``, at least one digit, and the row is
 read as the (M_N/M_K, M_K) matrix.  Pass 1 runs the loop of the low group
 G(m_0..m_{K-1}) on blocks of whole rows, alternating its stages between the
-block's own output rows and one spare block.  Pass 2 copies blocks of
-columns of half a block, ``_BLOCK_VALUES // 2`` values, transforms each
-high digit on its own axis between two half-block buffers and writes them
-back, in natural order with no transpose; the forward transform's 1/M_N
-rides on that write-back.
+block's own output rows and one spare block.  Pass 2 sweeps the output in
+place once per high digit j, read as the (M_N/M_{j+1}, m_j, M_j) array whose
+middle axis is the digit, in chunks of m_j contiguous rows of
+``_BLOCK_VALUES // m_j`` columns: the butterfly on a chunk's two rows
+through one scratch row, or the DFT matrix times the chunk into a scratch
+copied back.  Nothing is copied out or transposed, and the digits stay in
+natural order.
 
-The blocks of a pass are independent, and numpy lets go of the GIL inside
-its ufunc loops and ``matmul``, so each pass runs its blocks on two workers,
-the calling thread and one pool thread, each taking the next block when it
-has finished one, and ends only when both have stopped.  A worker held
-back by the system (a virtual CPU taken by its host, say) so leaves its
-blocks to the other rather than holding up the pass.  Each worker holds
-one block of scratch, which keeps a row's scratch at one output plus a
-few blocks; a third worker would not, so there are at most two, and one
-on a single usable CPU.  The pool and ``concurrent.futures`` are made by
-the first transform above the block, never at import.  Every group up to
-the block and every all-radix-2 group keep the bits of the whole-vector
-loop, and no group's bits depend on the number of workers or on which
-worker ran a block.  Above the block, a matrix stage on a product of
-another shape may move the last bit (seen at radices 3, 5 and 7 and on
-2,3 x 12 and x 13; 4^8, 4^9, 8^6, 16^4, 16^5, 2,3,5 x 10 and x 12 and
-2,3,5,7 x 8 kept every bit).
+The blocks of a pass, and the chunks of a digit, are independent, and numpy
+lets go of the GIL inside its ufunc loops and ``matmul``, so each pass and
+each digit runs its blocks on two workers, the calling thread and one pool
+thread, each taking the next block when it has finished one, and ends only
+when both have stopped.  A worker held back by the system (a virtual CPU
+taken by its host, say) so leaves its blocks to the other rather than
+holding up the pass.  Each worker holds one block of scratch, which keeps a
+row's scratch at one output plus a few blocks; a third worker would add a
+third, so there are at most two, and one on a single usable CPU.  The pool
+and ``concurrent.futures`` are made by the first transform above the block,
+never at import.  Every group up to the block and every group of radices 2,
+4, 8 and 16 keep the bits of the whole-vector loop, and no group's bits
+depend on the number of workers or on which worker ran a block.  Above the
+block, a matrix stage on a product of another shape may move the last bit
+(seen at radices 3, 5 and 7 and on 2,3 x 12 and x 13, 2,3,5 x 12 and
+2,3,5,7 x 8; 2,3,5 x 10 kept every bit).
 
 Normalization: the forward transform carries the factor 1/M_N, so that
 coeffs[n] equals the exact Haar integral of f * conj(psi_n); the inverse
-carries no factor.
+carries no factor.  The factor is one rule on every path: the float64 view
+of the result times ``1.0 / M_N``, the products numpy's complex division by
+M_N computes, except that a zero component keeps its sign.
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ def _checked(base: VilenkinBase, out: np.ndarray, noun: str, owner: str) -> np.n
     """``out`` itself, set read-only once it holds one finite entry per rank of ``base``."""
     if out.shape != (base.size,):
         raise ValueError(f"expected {base.size} {noun}s for {base}, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    if not np.isfinite(out.view(np.float64)).all():
         raise ValueError(f"non-finite {noun} in {owner} on {base}")
     out.setflags(write=False)
     return out
@@ -282,26 +286,36 @@ _BLOCK_VALUES = 1 << 15
 
 
 def _separable_apply(base: VilenkinBase, vec: np.ndarray, sign: int, divisor: int = 1) -> np.ndarray:
-    """The transform of each row, divided by ``divisor``: one size-m_k DFT stage per coordinate.
+    """The transform of each row over ``divisor``: one size-m_k DFT stage per coordinate.
 
     ``vec`` is one vector of M_N values or a (rows, M_N) stack, possibly of
     no rows; the result has its shape.  Up to M_N = ``_BLOCK_VALUES`` the
-    whole stack goes through :func:`_stages` and is divided in place; above
-    it each row goes alone through :func:`_two_pass`, so it keeps the bits
-    of a call on it alone, and the division rides on pass 2's write-back.
-    A divisor of 1 divides nothing.
+    whole stack goes through :func:`_stages`; above it each row goes alone
+    through :func:`_two_pass`, so it keeps the bits of a call on it alone.
+    Either way the division is :func:`_scale` by ``1.0 / divisor``, and a
+    divisor of 1 divides nothing.
     """
     a = np.asarray(vec, dtype=np.complex128)
     rows = a.reshape(-1, base.size)
     if base.size <= _BLOCK_VALUES:
         out = _stages(base.radices, rows, sign).reshape(a.shape)
         if divisor != 1:
-            out /= divisor
+            _scale(out, out, 1.0 / divisor)
         return out
     out = np.empty(a.shape, dtype=np.complex128)
     for row, row_out in zip(rows, out.reshape(-1, base.size)):
         _two_pass(base, row, sign, row_out, divisor)
     return out
+
+
+def _scale(src: np.ndarray, dst: np.ndarray, factor: float) -> None:
+    """Write ``src * factor`` into ``dst``, on the float64 views of both.
+
+    These are the products numpy's complex division by a real M computes,
+    (re + im*0) * (1/M) and (im - re*0) * (1/M), except that a zero
+    component keeps its sign.
+    """
+    np.multiply(src.view(np.float64), factor, out=dst.view(np.float64))
 
 
 def _stages(
@@ -338,59 +352,82 @@ def _stages(
 
 
 def _two_pass(base: VilenkinBase, vec: np.ndarray, sign: int, out: np.ndarray, divisor: int) -> None:
-    """Write the transform of ``vec``, divided by ``divisor``, into ``out`` in two cache-blocked passes.
+    """Write the transform of ``vec`` over ``divisor`` into ``out`` in two cache-blocked passes.
 
     The digits split at the largest K with M_K <= ``_BLOCK_VALUES`` (at
     least one digit), and both vectors are read as the C-order
     (M_N/M_K, M_K) matrix whose row is the high rank and whose column is the
     low rank.  Pass 1 runs :func:`_stages` of G(m_0..m_{K-1}) on a block of
     whole rows at a time, between the block's own rows of ``out`` and one
-    spare block, leaving each row in natural low-digit order.  Pass 2 copies
-    a block of columns, ``_BLOCK_VALUES // 2`` values, into a contiguous
-    (M_N/M_K, b) array and transforms each high digit j on the middle axis
-    of its (M_N/M_{j+1}, m_j, b M_j/M_K) view: the add/sub butterfly at
-    radix 2, else the DFT matrix times that view, broadcast over the leading
-    axis, written to a second half-block buffer.  The digits stay in place,
-    so the block goes back to its columns in natural order, divided on the
-    way unless ``divisor`` is 1.  Each pass spreads its blocks over
-    :func:`_in_workers`, and each worker holds its own one block of scratch.
+    spare block, leaving each row in natural low-digit order.  Pass 2 is one
+    :func:`_digit_sweep` over ``out`` per high digit, in place, so the
+    digits stay in natural order.  The division is :func:`_scale` by
+    ``1.0 / divisor`` inside the last digit's chunks, or inside pass 1's
+    blocks when the first radix alone is wider than the block and there is
+    no high digit.  Each pass, and each digit of pass 2, spreads its blocks
+    over :func:`_in_workers`, and each worker holds its own one block of
+    scratch.
     """
     split = max(1, bisect.bisect_right(base.cumprod, _BLOCK_VALUES) - 1)
-    low, high = base.radices[:split], base.radices[split:]
+    low = base.radices[:split]
     width = base.cumprod[split]
     height = base.size // width
     src, dst = vec.reshape(height, width), out.reshape(height, width)
     rows = max(1, _BLOCK_VALUES // width)
-    cols = max(1, _BLOCK_VALUES // 2 // height)
+    factor = None if divisor == 1 else 1.0 / divisor
 
     def low_digits(starts: Iterator[int]) -> None:
         spare = np.empty(rows * width, dtype=np.complex128) if len(low) > 1 else None
         for lo in starts:
-            _stages(low, src[lo : lo + rows], sign, dst[lo : lo + rows], spare)
-
-    def high_digits(starts: Iterator[int]) -> None:
-        spare = np.empty((2, height * cols), dtype=np.complex128)
-        for lo in starts:
-            target = dst[:, lo : lo + cols]
-            block, other = (buf[: target.size].reshape(height, -1) for buf in spare)
-            np.copyto(block, target)
-            stride = block.shape[1]
-            for m in high:
-                v, w = block.reshape(-1, m, stride), other.reshape(-1, m, stride)
-                if m == 2:
-                    np.add(v[:, 0], v[:, 1], out=w[:, 0])
-                    np.subtract(v[:, 0], v[:, 1], out=w[:, 1])
-                else:
-                    np.matmul(_dft_matrix(m, sign), v, out=w)
-                block, other = other, block
-                stride *= m
-            if divisor == 1:
-                target[...] = block
-            else:
-                np.divide(block, divisor, out=target)
+            block = dst[lo : lo + rows]
+            _stages(low, src[lo : lo + rows], sign, block, spare)
+            if factor is not None and split == base.depth:
+                _scale(block, block, factor)
 
     _in_workers(low_digits, range(0, height, rows))
-    _in_workers(high_digits, range(0, width, cols))
+    for j in range(split, base.depth):
+        _digit_sweep(out, base.radices[j], base.cumprod[j], sign, factor if j == base.depth - 1 else None)
+
+
+def _digit_sweep(out: np.ndarray, m: int, stride: int, sign: int, factor: float | None) -> None:
+    """Transform the digit of radix ``m`` and place value ``stride`` of ``out`` in place.
+
+    ``out`` is read as the C-order (M_N/(m*stride), m, stride) array whose
+    middle axis is the digit, and each slab of it as chunks of
+    ``_BLOCK_VALUES // m`` columns (the last of a slab may be narrower), so
+    a chunk is m contiguous rows of one block at most.  At radix 2 the
+    add/sub butterfly runs on its two rows through one scratch row; any
+    other radix is the DFT matrix times the chunk, written to an (m, width)
+    scratch and copied back.  Unless ``factor`` is None, the copy back is
+    :func:`_scale` by it.  The chunks are spread over :func:`_in_workers`,
+    each worker holding its own scratch.
+    """
+    slabs = out.reshape(-1, m, stride)
+    cols = max(1, _BLOCK_VALUES // m)
+    per_slab = -(-stride // cols)
+
+    def chunks(starts: Iterator[int]) -> None:
+        scratch = np.empty((1 if m == 2 else m) * cols, dtype=np.complex128)
+        for index in starts:
+            slab, part = divmod(index, per_slab)
+            chunk = slabs[slab, :, part * cols : (part + 1) * cols]
+            width = chunk.shape[1]
+            if m == 2:
+                a, b = chunk
+                result = scratch[:width]
+                np.add(a, b, out=result)
+                np.subtract(a, b, out=b)
+                if factor is not None:
+                    _scale(b, b, factor)
+                chunk = a  # the sums go back to the first row
+            else:
+                result = np.matmul(_dft_matrix(m, sign), chunk, out=scratch[: m * width].reshape(m, width))
+            if factor is None:
+                chunk[...] = result
+            else:
+                _scale(result, chunk, factor)
+
+    _in_workers(chunks, range(len(slabs) * per_slab))
 
 
 # (pid, executor) of the one pool thread of _in_workers, made by the first
@@ -513,10 +550,25 @@ def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
 
 
 def convolve_spectral(f: StepFunction, g: StepFunction) -> StepFunction:
-    """Convolution through the spectrum: coefficients multiply pointwise."""
+    """Convolution through the spectrum: coefficients multiply pointwise.
+
+    The coefficients of f multiply those of g in place, in g's fresh
+    transform, a block at a time on :func:`_in_workers`; the product is
+    adopted once, and f's coefficients are freed before the inverse.
+    """
     _check_same_base(f, g)
-    product = forward(f).coeffs * forward(g).coeffs
-    return inverse(_adopt(Spectrum, f.base, product))
+    base = f.base
+    spectrum_f = _separable_apply(base, f.values, -1, base.size)
+    product = _separable_apply(base, g.values, -1, base.size)
+
+    def multiply(starts: Iterator[int]) -> None:
+        for lo in starts:
+            block = product[lo : lo + _BLOCK_VALUES]
+            np.multiply(spectrum_f[lo : lo + _BLOCK_VALUES], block, out=block)
+
+    _in_workers(multiply, range(0, base.size, _BLOCK_VALUES))
+    del spectrum_f
+    return inverse(_adopt(Spectrum, base, product))
 
 
 def _deviation(a: np.ndarray, b: np.ndarray) -> float:

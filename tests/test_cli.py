@@ -54,6 +54,15 @@ class TestCorpus:
             members = np.arange(BASE232.size)[np.arange(BASE232.size) % m_2 == cid]
             assert len(set(f.values[members])) == 1
 
+    @pytest.mark.parametrize("spec, depth", [("2,3,2", 3), ("5,2", 4), ("2", 10), ("7,3", 3)])
+    def test_coset_values_are_the_per_coset_draws_by_rank(self, spec, depth):
+        # rank x lies in the rank-r coset x mod M_r, whose value is the seeded draw of that index
+        base = VilenkinBase.parse(spec, depth)
+        for r in range(base.depth + 1):
+            per_coset = np.random.default_rng(9).uniform(-1.0, 1.0, base.cumprod[r])
+            expected = per_coset[np.arange(base.size) % base.cumprod[r]]
+            assert np.array_equal(corpus(f"coset:{r}", base, seed=9).values, expected)
+
     def test_smooth2_depends_on_two_digits(self):
         base = VilenkinBase.parse("2,3,2,2")
         f = corpus("smooth2", base)

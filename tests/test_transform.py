@@ -443,6 +443,86 @@ class TestTwoPass:
         )
         assert done.returncode == 0, done.stderr
 
+    @pytest.mark.parametrize("sign", [-1, +1])
+    @pytest.mark.parametrize("spec, depth", [("4", 9), ("8", 6), ("16", 4)])
+    def test_power_of_two_radix_bits_equal_the_whole_vector_loop(self, spec, depth, sign):
+        # the in-place digit sweeps multiply each chunk by the same DFT matrix as the whole loop
+        base = VilenkinBase.parse(spec, depth)
+        assert base.size > transform._BLOCK_VALUES
+        rng = np.random.default_rng(depth)
+        vec = rng.uniform(-1, 1, base.size) + 1j * rng.uniform(-1, 1, base.size)
+        whole = transform._stages(base.radices, vec[None], sign)[0]
+        assert np.array_equal(transform._separable_apply(base, vec, sign).view(float), whole.view(float))
+
+    @pytest.mark.parametrize("spec, depth, block, signed_zeros", [
+        ("2", 10, None, True),  # the whole-vector loop
+        ("2,3,2", 5, None, False),
+        ("2", 16, None, True),  # last digit a butterfly sweep
+        ("3", 10, None, False),  # last digit a matrix sweep
+        ("2", 1, 1, True),  # no high digit: the division rides on pass 1
+        ("9", 1, 4, False),
+    ])
+    def test_forward_is_the_stage_output_times_the_reciprocal(self, spec, depth, block, signed_zeros, monkeypatch):
+        # bytes, signed zeros included: an input with -0.0 real or imaginary
+        # parts gives butterfly outputs with -0.0 components, which keep their sign
+        if block is not None:
+            monkeypatch.setattr(transform, "_BLOCK_VALUES", block)
+        base = VilenkinBase.parse(spec, depth)
+        draws = np.random.default_rng(depth).uniform(-1, 1, base.size)
+        negative_zeros = 0
+        for part in ("real", "imag"):
+            values = np.full(base.size, complex(-0.0, -0.0))
+            setattr(values, part, draws)
+            stages = transform._separable_apply(base, values, -1)
+            negative_zeros += np.count_nonzero(np.signbit(stages.view(float)) & (stages.view(float) == 0))
+            expected = stages.view(float) * (1.0 / base.size)
+            assert forward(StepFunction(base, values)).coeffs.view(float).tobytes() == expected.tobytes()
+        assert (negative_zeros > 0) == signed_zeros
+
+    @pytest.mark.parametrize("spec, depth, block", [("3", 10, None), ("5", 7, None), ("3", 5, 16)])
+    def test_partial_chunks_keep_their_bits_on_two_workers(self, spec, depth, block, monkeypatch):
+        # the place value of each high digit is not a multiple of the chunk
+        # width, so every slab of the digit ends in a narrower chunk
+        if block is not None:
+            monkeypatch.setattr(transform, "_BLOCK_VALUES", block)
+        base = VilenkinBase.parse(spec, depth)
+        assert base.size > transform._BLOCK_VALUES
+        assert base.cumprod[-2] % (transform._BLOCK_VALUES // base.radices[-1]) != 0
+        rng = np.random.default_rng(depth)
+        vec = rng.uniform(-1, 1, base.size) + 1j * rng.uniform(-1, 1, base.size)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(transform, "_worker_count", lambda: workers)
+            results += [transform._separable_apply(base, vec, sign, divisor) for sign in (-1, 1) for divisor in (1, 3)]
+        assert all(np.array_equal(a.view(float), b.view(float)) for a, b in zip(results[:4], results[4:]))
+        whole = transform._stages(base.radices, vec[None], -1)[0]
+        assert np.max(np.abs(results[0] - whole)) <= EXACT * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("spec, depth", [("2,3,2", 4), ("2", 17), ("7", 6)])
+    def test_convolve_spectral_equals_the_public_composition(self, spec, depth):
+        # the in-place product has the bits of forward(f) * forward(g), inverted
+        base = VilenkinBase.parse(spec, depth)
+        f, g = random_step(base, 31), random_step(base, 32, complex_valued=False)
+        expected = inverse(Spectrum(base, forward(f).coeffs * forward(g).coeffs)).values
+        assert np.array_equal(convolve_spectral(f, g).values.view(float), expected.view(float))
+
+    def test_convolve_spectral_holds_two_outputs_and_a_few_blocks(self, monkeypatch):
+        # the product is made in g's transform, and f's is freed before the inverse
+        monkeypatch.setattr(transform, "_worker_count", lambda: 2)
+        base = VilenkinBase.parse("2", 18)
+        f, g = random_step(base, 5), random_step(base, 6)
+        tracemalloc.start()
+        try:
+            convolve_spectral(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (2 * base.size + 4 * transform._BLOCK_VALUES)
+
+    def test_walsh_scratch_is_one_block_per_worker(self, monkeypatch):
+        # contiguous butterflies leave numpy no buffered-iterator scratch to make
+        assert_scratch_is_one_output_and_a_few_blocks(VilenkinBase.parse("2", 18), monkeypatch, blocks=2.5)
+
     def test_scratch_is_one_output_and_a_few_blocks(self, monkeypatch):
         # a whole-vector stage loop holds two M_N-sized arrays at once; each
         # of the two workers holds one block, plus numpy's ufunc buffers
@@ -453,7 +533,7 @@ class TestTwoPass:
         assert_scratch_is_one_output_and_a_few_blocks(VilenkinBase.parse("5", 8), monkeypatch)
 
 
-def assert_scratch_is_one_output_and_a_few_blocks(base, monkeypatch):
+def assert_scratch_is_one_output_and_a_few_blocks(base, monkeypatch, blocks=4):
     monkeypatch.setattr(transform, "_worker_count", lambda: 2)
     assert 2 * base.size > base.size + 4 * transform._BLOCK_VALUES
     vec = random_step(base, 4).values
@@ -463,7 +543,7 @@ def assert_scratch_is_one_output_and_a_few_blocks(base, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * (base.size + 4 * transform._BLOCK_VALUES)
+    assert peak < 16 * (base.size + blocks * transform._BLOCK_VALUES)
 
 
 class TestInverse:

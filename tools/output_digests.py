@@ -69,6 +69,8 @@ _KERNEL_DUMP = [
     "--base 2,3,5 --depth 7 --order 400 --weights riesz_log",
     # a row on 2^17 points: the stage engine's two cache-blocked passes
     "--base 2 --depth 17 --cap 131072 --order 100000 --weights cesaro:0.5",
+    # a row on 4^9 points: the matrix branch of the pass-2 digit sweeps
+    "--base 4 --depth 9 --cap 262144 --order 100000 --kind fejer",
 ]
 RUNS = ([f"verify {args}" for args in _VERIFY]
         + [f"converge {args}" for args in _CONVERGE]
