@@ -18,22 +18,23 @@ bits of a call on that row alone.  The butterfly adds and subtracts exactly,
 where the DFT matrix of size 2 holds exp(i*pi) = -1 + 1.2e-16i, so results
 differ from a matrix stage in the last bits.
 
-That loop over whole vectors runs up to M_N = ``_BLOCK_VALUES`` = 2^15
-complex values (512 KiB, a block that stays in L2 cache with its stage
-temporaries).  Above it every stage would stream the vector from memory and
-back, once per digit, so each row goes alone through two cache-blocked
-passes (the four-step split of D. H. Bailey, "FFTs in external or
-hierarchical memory", J. Supercomputing 4, 1990).  The digits split at the
-largest K with M_K <= ``_BLOCK_VALUES``, at least one digit, and the row is
-read as the (M_N/M_K, M_K) matrix.  Pass 1 runs the loop of the low group
-G(m_0..m_{K-1}) on blocks of whole rows, alternating its stages between the
-block's own output rows and one spare block.  Pass 2 sweeps the output in
-place once per high digit j, read as the (M_N/M_{j+1}, m_j, M_j) array whose
-middle axis is the digit, in chunks of m_j contiguous rows of
-``_BLOCK_VALUES // m_j`` columns: the butterfly on a chunk's two rows
-through one scratch row, or the DFT matrix times the chunk into a scratch
-copied back.  Nothing is copied out or transposed, and the digits stay in
-natural order.
+Every call, of any size or stack, runs that loop in cache-sized blocks of
+``_BLOCK_VALUES`` = 2^15 complex values (512 KiB, a block that stays in L2
+cache with its stage temporaries, where every stage over a larger vector
+would stream it from memory and back, once per digit), through two passes
+(the four-step split of D. H. Bailey, "FFTs in external or hierarchical
+memory", J. Supercomputing 4, 1990).  The digits split at the largest K
+with M_K <= ``_BLOCK_VALUES``, at least one digit, and the stack is read as
+the (rows * M_N/M_K, M_K) matrix.  Pass 1 runs the loop of the low group
+G(m_0..m_{K-1}) on blocks of whole matrix rows, alternating its stages
+between the block's own output rows and one spare sized by the rows of a
+block.  Up to the block K = N, so pass 1 is the whole transform.  Pass 2
+sweeps the output in place once per high digit j, read as the
+(rows * M_N/M_{j+1}, m_j, M_j) array whose middle axis is the digit, in
+chunks of m_j contiguous rows of ``_BLOCK_VALUES // m_j`` columns: the
+butterfly on a chunk's two rows through one scratch row, or the DFT matrix
+times the chunk into a scratch copied back.  Nothing is copied out or
+transposed, and the digits stay in natural order.
 
 The blocks of a pass, and the chunks of a digit, are independent, and numpy
 lets go of the GIL inside its ufunc loops and ``matmul``, so each pass and
@@ -43,18 +44,19 @@ when both have stopped.  A worker held back by the system (a virtual CPU
 taken by its host, say) so leaves its blocks to the other rather than
 holding up the pass.  Each worker holds one block of scratch, which keeps a
 row's scratch at one output plus a few blocks; a third worker would add a
-third, so there are at most two, and one on a single usable CPU.  The pool
-and ``concurrent.futures`` are made by the first transform above the block,
-never at import.  Every group up to the block and every group of radices 2,
-4, 8 and 16 keep the bits of the whole-vector loop, and no group's bits
-depend on the number of workers or on which worker ran a block.  Above the
-block, a matrix stage on a product of another shape may move the last bit
-(seen at radices 3, 5 and 7 and on 2,3 x 12 and x 13, 2,3,5 x 12 and
-2,3,5,7 x 8; 2,3,5 x 10 kept every bit).
+third, so there are at most two, and one on a single usable CPU.  A pass of
+one block runs on the caller alone; the pool and ``concurrent.futures`` are
+made by the first pass with more than one block, never at import.  Every
+group up to the block and every group of radices 2, 4, 8 and 16 keep the
+bits of the whole-vector loop, and no group's bits depend on the number of
+workers, on which worker ran a block or on how many rows share the call.
+Above the block, a matrix stage on a product of another shape may move the
+last bit (seen at radices 3, 5 and 7 and on 2,3 x 12 and x 13, 2,3,5 x 12
+and 2,3,5,7 x 8; 2,3,5 x 10 kept every bit).
 
 Normalization: the forward transform carries the factor 1/M_N, so that
 coeffs[n] equals the exact Haar integral of f * conj(psi_n); the inverse
-carries no factor.  The factor is one rule on every path: the float64 view
+carries no factor.  The factor is one rule on every call: the float64 view
 of the result times ``1.0 / M_N``, the products numpy's complex division by
 M_N computes, except that a zero component keeps its sign.
 """
@@ -281,7 +283,7 @@ def verify_orthonormality(base: VilenkinBase) -> float:
 # block and the stage temporaries made from it stay in a 1-2 MiB L2 cache,
 # where a stage over a whole vector above it streams M_N values from memory
 # and back once per digit.  Of 2^13 .. 2^16, 2^15 ran the 2^20 Walsh and 7^7
-# transforms fastest.  Blocking starts at M_N > _BLOCK_VALUES.
+# transforms fastest.  Pass 2 has a digit to sweep at M_N > _BLOCK_VALUES.
 _BLOCK_VALUES = 1 << 15
 
 
@@ -289,22 +291,13 @@ def _separable_apply(base: VilenkinBase, vec: np.ndarray, sign: int, divisor: in
     """The transform of each row over ``divisor``: one size-m_k DFT stage per coordinate.
 
     ``vec`` is one vector of M_N values or a (rows, M_N) stack, possibly of
-    no rows; the result has its shape.  Up to M_N = ``_BLOCK_VALUES`` the
-    whole stack goes through :func:`_stages`; above it each row goes alone
-    through :func:`_two_pass`, so it keeps the bits of a call on it alone.
-    Either way the division is :func:`_scale` by ``1.0 / divisor``, and a
-    divisor of 1 divides nothing.
+    no rows; the result has its shape.  The whole stack goes through
+    :func:`_two_pass` at once, and each row keeps the bits of a call on it
+    alone.  A divisor of 1 divides nothing.
     """
     a = np.asarray(vec, dtype=np.complex128)
-    rows = a.reshape(-1, base.size)
-    if base.size <= _BLOCK_VALUES:
-        out = _stages(base.radices, rows, sign).reshape(a.shape)
-        if divisor != 1:
-            _scale(out, out, 1.0 / divisor)
-        return out
     out = np.empty(a.shape, dtype=np.complex128)
-    for row, row_out in zip(rows, out.reshape(-1, base.size)):
-        _two_pass(base, row, sign, row_out, divisor)
+    _two_pass(base, a.reshape(-1, base.size), sign, out.reshape(-1, base.size), divisor)
     return out
 
 
@@ -319,61 +312,53 @@ def _scale(src: np.ndarray, dst: np.ndarray, factor: float) -> None:
 
 
 def _stages(
-    radices: tuple[int, ...],
-    a: np.ndarray,
-    sign: int,
-    out: np.ndarray | None = None,
-    spare: np.ndarray | None = None,
-) -> np.ndarray:
-    """The stage loop on the (rows, M) stack ``a``, M the product of ``radices``.
+    radices: tuple[int, ...], a: np.ndarray, sign: int, out: np.ndarray, spare: np.ndarray | None
+) -> None:
+    """The stage loop on the (rows, M) stack ``a``, M the product of ``radices``, into ``out``.
 
-    Stage k works on the (rows, M/m_k, m_k) view and writes a new
-    (rows, m_k, M/m_k) array, so the digits come out in natural order.  The
-    last stage writes into the contiguous (rows, M) array ``out`` instead,
-    if one is given.  With a flat ``spare`` of at least rows * M values as
-    well, every stage writes into one of the two, alternately, ending in
-    ``out``, so the loop allocates nothing; the operations are the same.
+    Stage k reads the (rows, M/m_k, m_k) view of the previous stage's output
+    and writes the (rows, m_k, M/m_k) view of the next, so the digits come
+    out in natural order.  The stages write alternately into the contiguous
+    (rows, M) array ``out`` and the flat ``spare`` of at least rows * M
+    values, ending in ``out``, so the loop allocates nothing; with one radix
+    ``spare`` goes unused and may be None.
     """
     rows, size = a.shape
     last = len(radices) - 1
     for k, m in enumerate(radices):
         v = a.reshape(rows, size // m, m)
-        if out is None or (spare is None and k < last):
-            dest = None
-        else:
-            dest = (out if (last - k) % 2 == 0 else spare[: rows * size]).reshape(rows, m, size // m)
+        a = (out if (last - k) % 2 == 0 else spare[: rows * size]).reshape(rows, m, size // m)
         if m == 2:
-            a = np.empty((rows, 2, size // 2), dtype=np.complex128) if dest is None else dest
             np.add(v[:, :, 0], v[:, :, 1], out=a[:, 0])
             np.subtract(v[:, :, 0], v[:, :, 1], out=a[:, 1])
         else:
-            a = np.matmul(_dft_matrix(m, sign), v.transpose(0, 2, 1), out=dest)
-    return a.reshape(rows, size)
+            np.matmul(_dft_matrix(m, sign), v.transpose(0, 2, 1), out=a)
 
 
 def _two_pass(base: VilenkinBase, vec: np.ndarray, sign: int, out: np.ndarray, divisor: int) -> None:
-    """Write the transform of ``vec`` over ``divisor`` into ``out`` in two cache-blocked passes.
+    """Write the transform of each row of ``vec`` over ``divisor`` into ``out`` in two cache-blocked passes.
 
-    The digits split at the largest K with M_K <= ``_BLOCK_VALUES`` (at
-    least one digit), and both vectors are read as the C-order
-    (M_N/M_K, M_K) matrix whose row is the high rank and whose column is the
-    low rank.  Pass 1 runs :func:`_stages` of G(m_0..m_{K-1}) on a block of
-    whole rows at a time, between the block's own rows of ``out`` and one
-    spare block, leaving each row in natural low-digit order.  Pass 2 is one
-    :func:`_digit_sweep` over ``out`` per high digit, in place, so the
-    digits stay in natural order.  The division is :func:`_scale` by
-    ``1.0 / divisor`` inside the last digit's chunks, or inside pass 1's
-    blocks when the first radix alone is wider than the block and there is
-    no high digit.  Each pass, and each digit of pass 2, spreads its blocks
-    over :func:`_in_workers`, and each worker holds its own one block of
-    scratch.
+    ``vec`` and ``out`` are (rows, M_N) stacks.  The digits split at the
+    largest K with M_K <= ``_BLOCK_VALUES`` (at least one digit), so K = N
+    up to the block, and both stacks are read as the C-order
+    (rows * M_N/M_K, M_K) matrix whose row is the high rank and whose column
+    is the low rank.  Pass 1 runs :func:`_stages` of G(m_0..m_{K-1}) on a
+    block of whole matrix rows at a time, between the block's own rows of
+    ``out`` and one spare block sized by the rows present, leaving each row
+    in natural low-digit order; up to the block it is the whole transform.
+    Pass 2 is one :func:`_digit_sweep` over ``out`` per high digit, in place,
+    so the digits stay in natural order.  The division is :func:`_scale` by
+    ``1.0 / divisor`` on the last write: inside the last digit's chunks, or
+    inside pass 1's blocks when there is no high digit.  Each pass, and each
+    digit of pass 2, spreads its blocks over :func:`_in_workers`, and each
+    worker holds its own one block of scratch.
     """
     split = max(1, bisect.bisect_right(base.cumprod, _BLOCK_VALUES) - 1)
     low = base.radices[:split]
     width = base.cumprod[split]
-    height = base.size // width
-    src, dst = vec.reshape(height, width), out.reshape(height, width)
-    rows = max(1, _BLOCK_VALUES // width)
+    src, dst = vec.reshape(-1, width), out.reshape(-1, width)
+    height = len(src)
+    rows = max(1, min(height, _BLOCK_VALUES // width))
     factor = None if divisor == 1 else 1.0 / divisor
 
     def low_digits(starts: Iterator[int]) -> None:
@@ -431,7 +416,7 @@ def _digit_sweep(out: np.ndarray, m: int, stride: int, sign: int, factor: float 
 
 
 # (pid, executor) of the one pool thread of _in_workers, made by the first
-# transform above the block in this process, never at import.
+# pass with more than one block in this process, never at import.
 _POOL = None
 _POOL_LOCK = threading.Lock()
 
@@ -450,10 +435,10 @@ def _worker_count() -> int:
 def _in_workers(run: Callable[[Iterator[int]], None], starts: range) -> None:
     """Run the blocks at ``starts``: ``run`` takes an iterator of block starts and runs each.
 
-    With one worker, or one block, the caller runs them all.  Otherwise the
-    caller and the pool thread share one iterator, each taking the next
-    block when it has finished one, so a worker that the system holds back
-    leaves its blocks to the other instead of holding up the pass.
+    With one block or none, or one worker, the caller runs them all.
+    Otherwise the caller and the pool thread share one iterator, each taking
+    the next block when it has finished one, so a worker that the system
+    holds back leaves its blocks to the other instead of holding up the pass.
     ``next`` on a range iterator is one step under the GIL, so every block
     runs once.  The call returns or raises only once both have stopped, so
     no worker still writes after it; a failing worker's exception is raised
@@ -461,7 +446,7 @@ def _in_workers(run: Callable[[Iterator[int]], None], starts: range) -> None:
     its bits.
     """
     shared = iter(starts)
-    if _worker_count() == 1 or len(starts) == 1:
+    if len(starts) <= 1 or _worker_count() == 1:
         run(shared)
         return
     later = _pool().submit(run, shared)

@@ -484,6 +484,27 @@ def test_python_m_runs_from_an_uninstalled_checkout(base, code, tmp_path):
         assert done.stderr.startswith("error:")
 
 
+def test_small_runs_make_no_block_pool(tmp_path):
+    # every pass of these runs has one block, so neither the pool thread nor
+    # concurrent.futures is ever made
+    script = (
+        "import sys\n"
+        "from vilenkin import cli, transform\n"
+        "codes = [cli.main(argv.split()) for argv in sys.argv[1:]]\n"
+        "print(codes, 'concurrent.futures' in sys.modules, transform._POOL)\n"
+    )
+    runs = [
+        f"verify --base 2,3,2 --depth 5 --out {tmp_path / 'v.json'}",
+        f"converge --base 2 --depth 12 --n 3..300 --out {tmp_path / 'c.csv'}",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *runs], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] False None"
+
+
 def test_a_two_pass_run_exits_with_its_block_thread_idle(tmp_path):
     # a 2^16 kernel row runs the two passes on the worker threads; the idle
     # pool thread must not keep the interpreter from exiting

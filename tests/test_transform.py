@@ -236,6 +236,13 @@ def assert_rows_equal_one_row_calls(spec, rows, sign):
     return base
 
 
+def whole_loop(base, vec, sign):
+    # the stage loop over the whole vector, without the division
+    out = np.empty((1, base.size), dtype=np.complex128)
+    transform._stages(base.radices, vec[None], sign, out, np.empty(base.size, dtype=np.complex128))
+    return out[0]
+
+
 ROW_AXIS_SPECS = ["2", "3", "5", "7", "16", "2,3,5", "5,2"]
 
 
@@ -273,7 +280,7 @@ class TestTwoPass:
 
     @pytest.fixture
     def two_pass_calls(self, monkeypatch):
-        # a block of 4 values, and a count of the rows that went through the two passes
+        # a block of 4 values, and the size of each call of the two passes
         monkeypatch.setattr(transform, "_BLOCK_VALUES", 4)
         calls = []
         two_pass = transform._two_pass
@@ -310,7 +317,7 @@ class TestTwoPass:
     @pytest.mark.parametrize("rows", [0, 1, 9])
     def test_row_axis_equals_one_row_calls(self, spec, rows, sign, two_pass_calls):
         base = assert_rows_equal_one_row_calls(spec, rows, sign)
-        assert two_pass_calls == [base.size] * (2 * rows)  # the stack, then each row alone
+        assert two_pass_calls == [base.size] * (1 + rows)  # the stack, then each row alone
 
     @pytest.mark.parametrize("sign", [-1, +1])
     @pytest.mark.parametrize("depth", [16, 17])
@@ -320,8 +327,7 @@ class TestTwoPass:
         assert base.size > transform._BLOCK_VALUES
         rng = np.random.default_rng(depth)
         vec = rng.uniform(-1, 1, base.size) + 1j * rng.uniform(-1, 1, base.size)
-        whole = np.empty(base.size, dtype=np.complex128)
-        transform._stages(base.radices, vec[None], sign, whole[None])
+        whole = whole_loop(base, vec, sign)
         assert np.array_equal(transform._separable_apply(base, vec, sign).view(float), whole.view(float))
 
     @pytest.mark.parametrize("block", [8, 16])
@@ -339,7 +345,7 @@ class TestTwoPass:
     def test_row_axis_on_two_workers(self, spec, rows, sign, two_pass_calls, monkeypatch):
         monkeypatch.setattr(transform, "_worker_count", lambda: 2)
         base = assert_rows_equal_one_row_calls(spec, rows, sign)
-        assert two_pass_calls == [base.size] * (2 * rows)
+        assert two_pass_calls == [base.size] * (1 + rows)
 
     @pytest.mark.parametrize("divisor", [1, 7])
     @pytest.mark.parametrize("sign", [-1, +1])
@@ -355,6 +361,20 @@ class TestTwoPass:
             monkeypatch.setattr(transform, "_worker_count", lambda: workers)
             results.append(transform._separable_apply(base, stack, sign, divisor))
         assert np.array_equal(results[0].view(float), results[1].view(float))
+
+    @pytest.mark.parametrize("spec, depth", [("3", 10), ("2,3", 13)])
+    def test_stack_above_the_block_equals_one_row_calls(self, spec, depth):
+        # at the real block, pass 2 sweeps the digits of all three rows at once
+        base = VilenkinBase.parse(spec, depth)
+        assert base.size > transform._BLOCK_VALUES
+        rng = np.random.default_rng(depth)
+        stack = rng.uniform(-1, 1, (3, base.size)) + 1j * rng.uniform(-1, 1, (3, base.size))
+        for sign in (-1, 1):
+            for divisor in (1, base.size):
+                out = transform._separable_apply(base, stack, sign, divisor)
+                for row, got in zip(stack, out):
+                    alone = transform._separable_apply(base, row, sign, divisor)
+                    assert np.array_equal(got.view(float), alone.view(float))
 
     def test_forward_divides_in_the_write_back(self):
         # the same division of the same values as dividing the finished transform
@@ -374,7 +394,7 @@ class TestTwoPass:
         failed = threading.Event()
         finished = []
 
-        def failing_stages(radices, a, sign, out=None, spare=None):
+        def failing_stages(radices, a, sign, out, spare):
             in_pool = threading.current_thread() is not caller
             if in_pool == (failing == "pool"):
                 failed.set()
@@ -390,7 +410,7 @@ class TestTwoPass:
             forward(f)
         assert finished == [failing == "caller"] * 3  # the other worker's blocks, all done
         monkeypatch.setattr(transform, "_stages", stages)
-        whole = transform._stages(f.base.radices, f.values[None], -1)[0] / f.base.size
+        whole = whole_loop(f.base, f.values, -1) / f.base.size
         assert np.array_equal(forward(f).coeffs.view(float), whole.view(float))
 
     def test_concurrent_callers_share_the_pool_thread(self, monkeypatch):
@@ -399,7 +419,7 @@ class TestTwoPass:
         monkeypatch.setattr(transform, "_POOL", None)
         base = VilenkinBase.parse("2", 16)
         inputs = [random_step(base, seed) for seed in range(6)]
-        expected = [transform._stages(base.radices, f.values[None], -1)[0] / base.size for f in inputs]
+        expected = [whole_loop(base, f.values, -1) / base.size for f in inputs]
         equal = [[] for _ in inputs]
 
         def call(i):
@@ -451,7 +471,7 @@ class TestTwoPass:
         assert base.size > transform._BLOCK_VALUES
         rng = np.random.default_rng(depth)
         vec = rng.uniform(-1, 1, base.size) + 1j * rng.uniform(-1, 1, base.size)
-        whole = transform._stages(base.radices, vec[None], sign)[0]
+        whole = whole_loop(base, vec, sign)
         assert np.array_equal(transform._separable_apply(base, vec, sign).view(float), whole.view(float))
 
     @pytest.mark.parametrize("spec, depth, block, signed_zeros", [
@@ -495,7 +515,7 @@ class TestTwoPass:
             monkeypatch.setattr(transform, "_worker_count", lambda: workers)
             results += [transform._separable_apply(base, vec, sign, divisor) for sign in (-1, 1) for divisor in (1, 3)]
         assert all(np.array_equal(a.view(float), b.view(float)) for a, b in zip(results[:4], results[4:]))
-        whole = transform._stages(base.radices, vec[None], -1)[0]
+        whole = whole_loop(base, vec, -1)
         assert np.max(np.abs(results[0] - whole)) <= EXACT * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("spec, depth", [("2,3,2", 4), ("2", 17), ("7", 6)])
@@ -531,6 +551,21 @@ class TestTwoPass:
     def test_matrix_radix_scratch_is_one_output_and_a_few_blocks(self, monkeypatch):
         # matrix stages in both passes, with two rows in each pass-1 block
         assert_scratch_is_one_output_and_a_few_blocks(VilenkinBase.parse("5", 8), monkeypatch)
+
+
+@pytest.mark.parametrize("spec, depth", [("2", 7), ("2,3,2", 5), ("5,2", 5)])
+def test_small_call_scratch_is_sized_by_the_call(spec, depth):
+    # pass 1 holds a spare of the rows present, not of a whole block
+    base = VilenkinBase.parse(spec, depth)
+    vec = random_step(base, 2).values
+    transform._separable_apply(base, vec, +1)  # the DFT matrices are cached
+    tracemalloc.start()
+    try:
+        transform._separable_apply(base, vec, +1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 3 * base.size + 4096
 
 
 def assert_scratch_is_one_output_and_a_few_blocks(base, monkeypatch, blocks=4):

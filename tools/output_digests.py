@@ -71,6 +71,8 @@ _KERNEL_DUMP = [
     "--base 2 --depth 17 --cap 131072 --order 100000 --weights cesaro:0.5",
     # a row on 4^9 points: the matrix branch of the pass-2 digit sweeps
     "--base 4 --depth 9 --cap 262144 --order 100000 --kind fejer",
+    # a row on 3^10 points: matrix sweeps whose slabs end in narrower chunks
+    "--base 3 --depth 10 --cap 59049 --order 40000 --kind fejer",
 ]
 RUNS = ([f"verify {args}" for args in _VERIFY]
         + [f"converge {args}" for args in _CONVERGE]
