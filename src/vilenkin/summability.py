@@ -48,13 +48,6 @@ from .transform import (
     character_values, forward, inverse,
 )
 
-# The parameters of each weight kind's spec, e.g. "blog:alpha:beta".
-_SPEC_PARAMS = {
-    "constant": {}, "cesaro": {"alpha": float}, "valpha": {"alpha": float},
-    "riesz_log": {}, "norlund_log": {}, "blog": {"alpha": float, "beta": int},
-}
-WEIGHT_KINDS = tuple(_SPEC_PARAMS)
-
 
 class WeightSequence:
     """A {q_k} family with cached prefix sums and a monotonicity tag.
@@ -127,16 +120,36 @@ class WeightSequence:
         return f"WeightSequence({self.kind!r})"
 
 
-def _cesaro_weights(alpha: float):
+def _constant(ks: np.ndarray) -> np.ndarray:
+    return np.ones(len(ks))
+
+
+def _cesaro(ks: np.ndarray, alpha: float) -> np.ndarray:
     # A_k^{alpha-1} by the stable recurrence A_j = A_{j-1} * (alpha-1+j)/j,
     # started at A_0 = 1 so that alpha = 1 reduces to Fejer.
-    def extend(ks: np.ndarray) -> np.ndarray:
-        factors = np.ones(len(ks))
-        js = np.arange(1, len(ks), dtype=float)
-        factors[1:] = (alpha - 1.0 + js) / js
-        return np.cumprod(factors)
+    factors = np.ones(len(ks))
+    js = np.arange(1, len(ks), dtype=float)
+    factors[1:] = (alpha - 1.0 + js) / js
+    return np.cumprod(factors)
 
-    return extend
+
+def _valpha(ks: np.ndarray, alpha: float) -> np.ndarray:
+    out = np.ones(len(ks))
+    out[1:] = np.arange(1, len(ks), dtype=float) ** (alpha - 1.0)
+    return out
+
+
+def _harmonic(ks: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(ks))
+    out[1:] = 1.0 / np.arange(1, len(ks), dtype=float)
+    return out
+
+
+def _blog(ks: np.ndarray, alpha: float, beta: int) -> np.ndarray:
+    out = np.zeros(len(ks))
+    if len(ks) > 1:
+        out[1:] = _iterated_log(np.arange(1, len(ks), dtype=float) ** alpha, beta)
+    return out
 
 
 def _iterated_log(values: np.ndarray, beta: int) -> np.ndarray:
@@ -159,6 +172,25 @@ def _iterated_log(values: np.ndarray, beta: int) -> np.ndarray:
     return out
 
 
+# One row per weight family: (spec parameters, q_k of (ks, *params), mean
+# type, monotonicity tag).  A parameter is (name, type, accepts, the accepted
+# range as text); the type converts the spec's text and the accepted value.
+# ``b == int(b) >= 1`` raises on a non-finite beta, as int(beta) does.
+_FAMILIES = {
+    "constant": ((), _constant, "norlund", "non-increasing"),
+    "cesaro": ((("alpha", float, lambda a: 0 < a <= 1, "0 < alpha <= 1"),),
+               _cesaro, "norlund", "non-increasing"),
+    "valpha": ((("alpha", float, lambda a: 0 < a < 1, "0 < alpha < 1"),),
+               _valpha, "norlund", "non-increasing"),
+    "riesz_log": ((), _harmonic, "tmean", "n/a"),
+    "norlund_log": ((), _harmonic, "norlund", "n/a"),
+    "blog": ((("alpha", float, lambda a: a > 0, "alpha > 0"),
+              ("beta", int, lambda b: b == int(b) >= 1, "integer beta >= 1")),
+             _blog, "tmean", "non-decreasing"),
+}
+WEIGHT_KINDS = tuple(_FAMILIES)
+
+
 def make_weights(kind: str, alpha: float | None = None, beta: int | None = None) -> WeightSequence:
     """Construct one of the named weight families.
 
@@ -168,73 +200,37 @@ def make_weights(kind: str, alpha: float | None = None, beta: int | None = None)
     riesz_log      q_0 = 0, q_k = 1/k     (tmean aggregation)
     norlund_log    q_0 = 0, q_k = 1/k     (norlund aggregation)
     blog           q_0 = 0, q_k = log^(beta)(k^alpha) truncated at 0 (tmean)
+
+    A family reads only its own parameters, alpha first; the label is the
+    kind and each parameter, alpha as ``:g`` and beta as an integer.
     """
     if alpha is not None and not math.isfinite(alpha):
         spec = ":".join(str(part) for part in (kind, alpha, beta) if part is not None)
         raise ValueError(f"weight spec {spec!r} needs a finite alpha")
-    if kind == "constant":
-        return WeightSequence(
-            "constant", lambda ks: np.ones(len(ks)), "norlund", "non-increasing"
-        )
-    if kind == "cesaro":
-        if alpha is None or not 0 < alpha <= 1:
-            raise ValueError(f"cesaro needs 0 < alpha <= 1, got {alpha}")
-        return WeightSequence(
-            f"cesaro:{alpha:g}", _cesaro_weights(alpha), "norlund", "non-increasing"
-        )
-    if kind == "valpha":
-        if alpha is None or not 0 < alpha < 1:
-            raise ValueError(f"valpha needs 0 < alpha < 1, got {alpha}")
-
-        def extend(ks: np.ndarray) -> np.ndarray:
-            out = np.ones(len(ks))
-            out[1:] = np.arange(1, len(ks), dtype=float) ** (alpha - 1.0)
-            return out
-
-        return WeightSequence(f"valpha:{alpha:g}", extend, "norlund", "non-increasing")
-    if kind in ("riesz_log", "norlund_log"):
-
-        def extend(ks: np.ndarray) -> np.ndarray:
-            out = np.zeros(len(ks))
-            out[1:] = 1.0 / np.arange(1, len(ks), dtype=float)
-            return out
-
-        mean_type = "tmean" if kind == "riesz_log" else "norlund"
-        return WeightSequence(kind, extend, mean_type, "n/a")
-    if kind == "blog":
-        if alpha is None or alpha <= 0:
-            raise ValueError(f"blog needs alpha > 0, got {alpha}")
-        if beta is None or beta < 1 or beta != int(beta):
-            raise ValueError(f"blog needs integer beta >= 1, got {beta}")
-        beta = int(beta)
-
-        def extend(ks: np.ndarray) -> np.ndarray:
-            out = np.zeros(len(ks))
-            if len(ks) > 1:
-                out[1:] = _iterated_log(
-                    np.arange(1, len(ks), dtype=float) ** alpha, beta
-                )
-            return out
-
-        return WeightSequence(f"blog:{alpha:g}:{beta}", extend, "tmean", "non-decreasing")
-    raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
+    params, q, mean_type, monotonicity = _FAMILIES[kind]
+    values = []
+    for (_, convert, accepts, text), value in zip(params, (alpha, beta)):
+        if value is None or not accepts(value):
+            raise ValueError(f"{kind} needs {text}, got {value}")
+        values.append(convert(value))
+    label = ":".join([kind, *(f"{v:g}" if type(v) is float else str(v) for v in values)])
+    return WeightSequence(label, lambda ks: q(ks, *values), mean_type, monotonicity)
 
 
 def weights_from_spec(text: str) -> WeightSequence:
     """Parse the CLI grammar: "constant", "cesaro:0.5", "blog:0.5:1", ..."""
-    kind, *params = text.split(":")
-    converters = _SPEC_PARAMS.get(kind)
-    if converters is None:
+    kind, *fields = text.split(":")
+    if kind not in _FAMILIES:
         raise ValueError(f"unknown weight kind {kind!r} in {text!r}")
+    params = _FAMILIES[kind][0]
     try:
-        kwargs = {
-            name: convert(value)
-            for (name, convert), value in zip(converters.items(), params, strict=True)
-        }
+        values = [convert(field) for (_, convert, *_), field in zip(params, fields, strict=True)]
     except ValueError:
-        usage = ":".join([kind, *converters])
+        usage = ":".join([kind, *(name for name, *_ in params)])
         raise ValueError(f"bad weight spec {text!r}; expected {usage!r}") from None
-    return make_weights(kind, **kwargs)
+    return make_weights(kind, *values)
 
 
 @dataclass(frozen=True)

@@ -258,12 +258,13 @@ def _digit_row(base: VilenkinBase, j: int, a: int) -> np.ndarray:
     """psi_{a M_j} over every rank, read-only.
 
     Rank r holds digit x_j on axis 1 of the C-order (M_N/M_{j+1}, m_j, M_j)
-    view, so the row is row a of ``_dft_matrix(m_j, +1)`` broadcast over the
-    other digits: entry [a, x_j] of that table is the root r_j^{a x_j} itself.
+    view, so the row is the roots r_j^{a x_j}, read from the root table at
+    (a x_j) mod m_j, broadcast over the other digits.  The stage engine's DFT
+    matrices are never read, so a fault in them cannot reach this row.
     """
     m = base.radices[j]
     row = np.empty(base.size, dtype=np.complex128)
-    row.reshape(-1, m, base.cumprod[j])[...] = _dft_matrix(m, +1)[a, :, None]
+    row.reshape(-1, m, base.cumprod[j])[...] = _unit_roots(m)[(a * np.arange(m)) % m, None]
     row.setflags(write=False)
     return row
 

@@ -659,6 +659,28 @@ def test_numeric_flag_errors_name_the_flag(argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--n", "5..3"], "empty range '5..3'"),
+    (["converge", "--n", ","], "no orders in ','"),
+    (["converge", "--base", "2,3,2", "--corpus", "character:99"], "character index 99 outside [0, 12)"),
+    (["converge", "--base", "2,3,2", "--corpus", "coset:9"], "coset depth 9 outside [0, 3]"),
+    (["converge", "--base", "2,3,2", "--corpus", "spike:9"], "spike depth 9 outside [0, 3]"),
+    (["converge", "--weights", "bogus:1"], "unknown weight kind 'bogus' in 'bogus:1'"),
+], ids=["empty-range", "no-orders", "character-99", "coset-9", "spike-9", "bogus-weights"])
+def test_bad_inputs_exit_2_with_one_error_line(argv, message):
+    code, err = run_main(argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_config_line_without_equals(tmp_path):
+    config = tmp_path / "bare.cfg"
+    config.write_text("seed 3\n")
+    code, err = run_main(["verify", "--config", str(config)])
+    assert code == 2
+    assert err == f"error: {config}:1: expected key=value, got 'seed 3'\n"
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("verify", "seed=-1", "argument --seed: expected an integer >= 0, got '-1'"),
     ("bench", "reps=0", "argument --reps: expected an integer >= 1, got '0'"),

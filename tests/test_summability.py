@@ -48,6 +48,7 @@ from vilenkin.transform import (
 
 BASE23 = VilenkinBase.parse("2,3")
 BASE232 = VilenkinBase.parse("2,3,2")
+BASE333 = VilenkinBase.parse("3,3,3")
 EXACT = 1e-12
 COMPOSED = 1e-10
 
@@ -139,6 +140,29 @@ class TestWeights:
             make_weights("blog", alpha=0.5, beta=0)
         with pytest.raises(ValueError):
             make_weights("nope")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_weights("cesaro", alpha=1.5), "cesaro needs 0 < alpha <= 1, got 1.5"),
+        (lambda: make_weights("cesaro"), "cesaro needs 0 < alpha <= 1, got None"),
+        (lambda: make_weights("valpha", alpha=0.0), "valpha needs 0 < alpha < 1, got 0.0"),
+        (lambda: make_weights("blog", alpha=-1.0, beta=1), "blog needs alpha > 0, got -1.0"),
+        (lambda: make_weights("blog", alpha=0.5, beta=0), "blog needs integer beta >= 1, got 0"),
+        (lambda: make_weights("blog", alpha=0.5, beta=1.5), "blog needs integer beta >= 1, got 1.5"),
+        (lambda: make_weights("nope"),
+         "unknown weight kind 'nope'; expected one of "
+         "('constant', 'cesaro', 'valpha', 'riesz_log', 'norlund_log', 'blog')"),
+        (lambda: weights_from_spec("bogus:1"), "unknown weight kind 'bogus' in 'bogus:1'"),
+        (lambda: make_weights("constant").q(-1), "weight index must be >= 0, got -1"),
+    ], ids=["cesaro-1.5", "cesaro-none", "valpha-0", "blog-alpha", "blog-beta-0", "blog-beta-1.5",
+            "unknown-kind", "unknown-spec-kind", "negative-index"])
+    def test_parameter_messages(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_labels(self):
+        assert make_weights("blog", alpha=0.5, beta=10**9).kind == "blog:0.5:1000000000"
+        assert make_weights("cesaro", alpha=1).kind == "cesaro:1"
 
     @pytest.mark.parametrize("spec", ["blog:inf:1", "blog:nan:1", "blog:-inf:2",
                                       "cesaro:nan", "valpha:inf"])
@@ -1039,6 +1063,17 @@ def _scaled_first_entry(profile):
     return faulty
 
 
+def _scaled_dft_entry(dft_matrix):
+    # entry [1, 1] of every stage-engine DFT matrix; on 3,3,3 a literal
+    # oracle that read these matrices matched the faulted engine
+    def faulty(m, sign):
+        mat = dft_matrix(m, sign).copy()
+        mat[1, 1] *= FAULT
+        return mat
+
+    return faulty
+
+
 def _scaled_psi_top(character_values):
     # psi_{M_r - 1} of the level-2 complement on 2,3,2 (M_2 = 6)
     return lambda base, n: character_values(base, n) * (FAULT if n == 5 else 1.0)
@@ -1063,6 +1098,13 @@ def _scaled_psi_top(character_values):
     (summability, "_character_rows", _scaled_psi_0,
      lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
      COMPOSED),
+    (transform, "_dft_matrix", _scaled_dft_entry,
+     lambda: verify_mean_paths(
+         random_step(BASE333, 12), [make_weights("valpha", alpha=0.5)], range(1, 28))[0],
+     COMPOSED),
+    (transform, "_dft_matrix", _scaled_dft_entry,
+     lambda: verify_kernel_abel([make_weights("valpha", alpha=0.5)], BASE333, range(1, 28))[0],
+     COMPOSED),
     (summability, "_profile", _scaled_first_entry,
      lambda: verify_dirichlet_complement(BASE232), COMPOSED),
     (summability, "character_values", _scaled_psi_top,
@@ -1080,7 +1122,8 @@ def _scaled_psi_top(character_values):
     (analysis, "convolve_spectral", _scaled_tenfold,
      lambda: verify_young(random_step(BASE232, 21), random_step(BASE232, 22)), EXACT),
 ], ids=["orthonormality", "dirichlet_integral", "abel_prefix_sum", "abel_prefix_sum_q", "kernel_abel",
-        "kernel_mass", "mean_paths", "mean_paths_stream", "dirichlet_complement",
+        "kernel_mass", "mean_paths", "mean_paths_stream", "mean_paths_dft_333", "kernel_abel_dft_333",
+        "dirichlet_complement",
         "dirichlet_complement_psi", "block_kernel_split", "fast_vs_naive", "round_trip", "parseval",
         "convolution", "young"])
 def test_shared_check_sees_a_fault(monkeypatch, owner, name, fault, residual, tolerance):

@@ -157,6 +157,26 @@ class TestForward:
             expected[k] = 1.0
             np.testing.assert_allclose(coeffs, expected, atol=EXACT)
 
+    @pytest.mark.parametrize("spec", ["2,3,2", "5,16,7", "3,3,3"])
+    def test_digit_rows_are_the_dft_matrix_rows(self, spec):
+        base = VilenkinBase.parse(spec)
+        for j, m in enumerate(base.radices):
+            for a in range(m):
+                row = transform._digit_row(base, j, a).reshape(-1, m, base.cumprod[j])
+                expected = transform._dft_matrix(m, +1)[a, :, None]
+                np.testing.assert_array_equal(row, np.broadcast_to(expected, row.shape))
+
+    def test_digit_row_builds_no_radix_square_table(self):
+        # the literal layer reads the root table, never an m x m matrix
+        base = VilenkinBase.parse("1024", 1)
+        tracemalloc.start()
+        try:
+            transform._digit_row(base, 0, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * base.size
+
     def test_two_point_hand_sum(self):
         base = VilenkinBase.parse("2")
         f = StepFunction(base, [1.0, 0.0])

@@ -63,6 +63,10 @@ _KERNEL_DUMP = [
     *(f"--base 2,3 --depth 4 --order {n} --weights {w}"
       for w in ("constant", "cesaro:0.5", "valpha:0.5", "riesz_log", "norlund_log", "blog:0.5:1")
       for n in (3, 9, 36)),
+    # weight parameters other than alpha 0.5 and beta 1
+    *(f"--base 2,3 --depth 4 --order 36 --weights {w}"
+      for w in ("cesaro:0.25", "valpha:0.7", "blog:1.5:2")),
+    "--base 5,2 --depth 4 --order 77 --weights blog:1.5:2",
     # orders below M_N / 4, synthesized on a proper prefix group and tiled
     "--base 2 --depth 12 --order 1000 --weights norlund_log",
     "--base 16 --depth 3 --order 200 --kind fejer",
