@@ -26,9 +26,14 @@ rearrangement gives the alternate evaluation
                         + q_0 * n * sigma_n f )
 
 where sigma_j is the Fejer mean.  The "direct" and "abel" routes are one
-literal character stream over every requested (family, order) row, which
-never reads the fast transform.  It runs on the full group, as does
-``verify_dirichlet_integral``, so no check compares a prefix-group row with
+literal character stream, which never reads the fast transform, over a
+stack of spectra: each (spectrum, route, family, order) row accumulates only
+its own route's sum, and each row's arithmetic is that of a stream over it
+alone.  One walk of the characters serves the three stream checks of a
+``verify`` run (:func:`verify_stream_identities`): on the unit spectrum,
+where S_k = D_k, the Dirichlet integral and the Abel sums of the kernel rows,
+and on f's spectrum the direct and Abel sums of the mean-path rows.  The
+stream runs on the full group, so no check compares a prefix-group row with
 itself.  The ``verify_*`` functions return the residual of one identity each,
 with no tolerance: ``vilenkin verify`` and the test suite call the same
 functions and keep their own thresholds.
@@ -175,7 +180,8 @@ def _iterated_log(values: np.ndarray, beta: int) -> np.ndarray:
 # One row per weight family: (spec parameters, q_k of (ks, *params), mean
 # type, monotonicity tag).  A parameter is (name, type, accepts, the accepted
 # range as text); the type converts the spec's text and the accepted value.
-# ``b == int(b) >= 1`` raises on a non-finite beta, as int(beta) does.
+# The beta check compares before it calls int(b), so a NaN or infinite beta
+# gets the family's message and an integer of any size still converts.
 _FAMILIES = {
     "constant": ((), _constant, "norlund", "non-increasing"),
     "cesaro": ((("alpha", float, lambda a: 0 < a <= 1, "0 < alpha <= 1"),),
@@ -185,7 +191,7 @@ _FAMILIES = {
     "riesz_log": ((), _harmonic, "tmean", "n/a"),
     "norlund_log": ((), _harmonic, "norlund", "n/a"),
     "blog": ((("alpha", float, lambda a: a > 0, "alpha > 0"),
-              ("beta", int, lambda b: b == int(b) >= 1, "integer beta >= 1")),
+              ("beta", int, lambda b: 1 <= b < math.inf and b == int(b), "integer beta >= 1")),
              _blog, "tmean", "non-decreasing"),
 }
 WEIGHT_KINDS = tuple(_FAMILIES)
@@ -201,8 +207,9 @@ def make_weights(kind: str, alpha: float | None = None, beta: int | None = None)
     norlund_log    q_0 = 0, q_k = 1/k     (norlund aggregation)
     blog           q_0 = 0, q_k = log^(beta)(k^alpha) truncated at 0 (tmean)
 
-    A family reads only its own parameters, alpha first; the label is the
-    kind and each parameter, alpha as ``:g`` and beta as an integer.
+    A family takes only its own parameters, alpha first, and rejects any
+    other; the label is the kind and each parameter, alpha as ``:g`` and beta
+    as an integer.
     """
     if alpha is not None and not math.isfinite(alpha):
         spec = ":".join(str(part) for part in (kind, alpha, beta) if part is not None)
@@ -215,6 +222,9 @@ def make_weights(kind: str, alpha: float | None = None, beta: int | None = None)
         if value is None or not accepts(value):
             raise ValueError(f"{kind} needs {text}, got {value}")
         values.append(convert(value))
+    for name, value in list(zip(("alpha", "beta"), (alpha, beta)))[len(params) :]:
+        if value is not None:
+            raise ValueError(f"{kind} takes no {name}, got {value}")
     label = ":".join([kind, *(f"{v:g}" if type(v) is float else str(v) for v in values)])
     return WeightSequence(label, lambda ks: q(ks, *values), mean_type, monotonicity)
 
@@ -405,8 +415,8 @@ def mean(f: StepFunction, w: WeightSequence, n: int, method: str = "direct") -> 
         return _adopt(StepFunction, base, next(_synthesize(base, forward(f).coeffs, [profile])))
     if method not in MEAN_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {MEAN_METHODS}")
-    direct, abel = _abel_accumulate(base, forward(f).coeffs, [(w, n)])
-    return _adopt(StepFunction, base, direct[0] if method == "direct" else abel[0])
+    (row,), _ = _abel_accumulate(base, forward(f).coeffs[None], [(0, method, w, n)])
+    return _adopt(StepFunction, base, row)
 
 
 def _check_mean(base: VilenkinBase, w: WeightSequence, n: int) -> None:
@@ -428,48 +438,77 @@ def _partial_sum_weights(w: WeightSequence, n: int) -> np.ndarray:
 
 
 def _character_stream(base: VilenkinBase, coeffs: np.ndarray):
-    """Yield (k, S_k, k sigma_k) for k = 1 .. len(coeffs), taking psi_{k-1} from :func:`_character_rows`.
+    """Yield (k, S_k, k sigma_k) for k = 1 .. L, taking psi_{k-1} from :func:`_character_rows`.
 
-    S_k = sum_{j<k} coeffs[j] psi_j and k sigma_k = sum_{j<=k} S_j are updated
-    in place, so each yielded array is valid until the next step.
+    ``coeffs`` is one spectrum, of length L, or a stack of spectra, of shape
+    (s, L).  S_k = sum_{j<k} coeffs[..., j] psi_j and k sigma_k =
+    sum_{j<=k} S_j have the shape (M_N,) or (s, M_N), so one walk of the
+    characters serves every spectrum of a stack, and each spectrum's row has
+    the bits of a stream over it alone.  Both are updated in place, so each
+    yielded array is valid until the next step.
     """
-    running = np.zeros(base.size, dtype=np.complex128)  # S_k
-    block = np.zeros(base.size, dtype=np.complex128)  # k * sigma_k
-    psis = _character_rows(base, 0, len(coeffs))
-    for k, (coefficient, psi) in enumerate(zip(coeffs, psis), start=1):
-        running += coefficient * psi
+    shape = (*coeffs.shape[:-1], base.size)
+    running = np.zeros(shape, dtype=np.complex128)  # S_k
+    block = np.zeros(shape, dtype=np.complex128)  # k * sigma_k
+    psis = _character_rows(base, 0, coeffs.shape[-1])
+    # a stack multiplies psi by a column of coefficients, one spectrum by a scalar
+    columns = coeffs.T[..., None] if coeffs.ndim > 1 else coeffs
+    for k, (column, psi) in enumerate(zip(columns, psis), start=1):
+        running += column * psi
         block += running
         yield k, running, block
 
 
-def _abel_accumulate(base: VilenkinBase, coeffs: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The direct and the Abel order-n means of the spectrum ``coeffs``, one row per (w, n).
+def _abel_accumulate(base: VilenkinBase, coeffs: np.ndarray, rows, integral: bool = False):
+    """The order-n means of a stack of spectra, one row per (spectrum, route, w, n), from one stream.
 
-    One :func:`_character_stream` serves every row.  Each row with a k-th
-    weight adds c_k S_k (direct) and d_k k sigma_k (Abel).  The rows are kept
-    sorted by their number of weights, so those rows are a suffix, and each
-    row's arithmetic and its order are those of a stream over that row alone.
+    ``coeffs`` has the shape (s, L), and a row's spectrum indexes it.  Route
+    "direct" is (1/Q_n) sum_k c_k S_k, with the weights c_k of
+    :func:`_partial_sum_weights`; route "abel" is the same mean rearranged,
+    (1/Q_n) sum_j d_j j sigma_j with d_j = c_j - c_{j+1} and c past the end 0.
+    One :func:`_character_stream` serves every row, and a row accumulates
+    only its own route's sum.  The rows of one spectrum and route share a
+    weight matrix, kept sorted by their number of weights, so the rows with
+    a k-th weight are a suffix, found once per k before the stream; each
+    row's arithmetic and its order are those of a stream over that row
+    alone.  Returns the rows, in the order of ``rows``, and a Dirichlet
+    integral residual: with ``integral``, spectrum 0 must be the unit
+    spectrum, where S_k = D_k, the stream runs all L steps, and the residual
+    is the largest |integral of D_k - 1| over them; else it is 0.0.
     """
-    weights = [_partial_sum_weights(w, n) for w, n in rows]
-    sizes = np.array([len(c) for c in weights], dtype=int)
-    order = np.argsort(sizes, kind="stable")
-    lengths = sizes[order]
-    # complex weights: one product per row, with no cast inside the stream
-    c = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.complex128)
-    for slot, i in enumerate(order):
-        c[slot, : lengths[slot]] = weights[i]
-    # sum_k c_k S_k f = sum_j (c_j - c_{j+1}) * j * sigma_j f, with c past the end 0
-    d = c.copy()
-    d[:, :-1] -= c[:, 1:]
-    direct = np.zeros((len(rows), base.size), dtype=np.complex128)
-    abel = np.zeros_like(direct)
-    for k, running, block in _character_stream(base, coeffs[: c.shape[1]]):
-        live = np.searchsorted(lengths, k)  # the first row with a k-th weight
-        direct[live:] += c[live:, k - 1, None] * running
-        abel[live:] += d[live:, k - 1, None] * block
-    back = np.argsort(order)
-    q_n = np.array([w.Q(n) for w, n in rows])[:, None]
-    return direct[back] / q_n, abel[back] / q_n
+    plans: dict[tuple[int, str], list] = {}  # (spectrum, route) -> [(row index, weights)]
+    for i, (spectrum, route, w, n) in enumerate(rows):
+        c = _partial_sum_weights(w, n)
+        if route == "abel":
+            c = c - np.append(c[1:], 0.0)
+        plans.setdefault((spectrum, route), []).append((i, c))
+    widths = [len(c) for members in plans.values() for _, c in members]
+    length = coeffs.shape[-1] if integral else max(widths, default=0)
+    groups = []
+    for (spectrum, route), members in plans.items():
+        members.sort(key=lambda member: len(member[1]))
+        # complex weights: one product per row, with no cast inside the stream
+        weights = np.zeros((len(members), length), dtype=np.complex128)
+        for row, (_, c) in zip(weights, members):
+            row[: len(c)] = c
+        # per k, the first row with a k-th weight
+        firsts = np.searchsorted([len(c) for _, c in members], np.arange(1, length + 1)).tolist()
+        sums = np.zeros((len(members), base.size), dtype=np.complex128)
+        groups.append((spectrum, route == "abel", weights, firsts, sums))
+    worst = 0.0
+    for k, running, block in _character_stream(base, coeffs[:, :length]):
+        if integral:  # the arithmetic of running[0].mean(), without its Python wrapper
+            worst = max(worst, abs(np.add.reduce(running[0]) / base.size - 1.0))
+        for spectrum, abel, weights, firsts, sums in groups:
+            live = firsts[k - 1]
+            if live < len(sums):
+                sums[live:] += weights[live:, k - 1, None] * (block if abel else running)[spectrum]
+    out = [None] * len(rows)
+    for members, (*_, sums) in zip(plans.values(), groups):
+        sums /= np.array([rows[i][2].Q(rows[i][3]) for i, _ in members])[:, None]
+        for (i, _), row in zip(members, sums):
+            out[i] = row
+    return out, float(worst)
 
 
 def _live_rows(families, base: VilenkinBase, orders) -> list[tuple[int, WeightSequence, int]]:
@@ -526,10 +565,7 @@ def verify_dirichlet_integral(base: VilenkinBase) -> float:
     D_n is the character stream's S_n on the unit spectrum, a literal sum, so
     the check does not share the spectral synthesis of :func:`dirichlet`.
     """
-    worst = 0.0
-    for _, d_n, _ in _character_stream(base, np.ones(base.size)):
-        worst = max(worst, abs(d_n.mean() - 1.0))
-    return float(worst)
+    return _stream_checks(base, (), integral=True)[0]
 
 
 def verify_abel_prefix_sum(w: WeightSequence, horizon: int) -> float:
@@ -567,13 +603,7 @@ def verify_kernel_abel(families, base: VilenkinBase, orders) -> list[float]:
     for w in families:
         if w.mean_type != "norlund":
             raise ValueError(f"kernel Abel identity needs a norlund family, got {w.kind}")
-    live = _live_rows(families, base, orders)
-    _, abel = _abel_accumulate(base, np.ones(base.size), [(w, n) for _, w, n in live])
-    kernels = _synthesize(base, np.ones(base.size), (_profile("norlund", w, n) for _, w, n in live))
-    worst = [0.0] * len(families)
-    for (i, w, n), rebuilt, kernel in zip(live, abel, kernels):
-        worst[i] = max(worst[i], _deviation(rebuilt, kernel))
-    return worst
+    return _stream_checks(base, orders, kernel_families=families)[1]
 
 
 def verify_kernel_mass(families, base: VilenkinBase, orders) -> list[float]:
@@ -602,13 +632,55 @@ def verify_mean_paths(f: StepFunction, families, orders) -> list[float]:
     each family's first such order, the public one-order routes of
     :func:`mean` are also held against their rows of the batch.
     """
-    live = _live_rows(families, f.base, orders)
-    coeffs = forward(f).coeffs
-    direct, abel = _abel_accumulate(f.base, coeffs, [(w, n) for _, w, n in live])
-    spectral = _synthesize(f.base, coeffs, (_profile(w.mean_type, w, n) for _, w, n in live))
-    worst = [0.0] * len(families)
+    return _stream_checks(f.base, orders, f=f, mean_families=families)[2]
+
+
+def verify_stream_identities(f: StepFunction, families, orders) -> tuple[float, list[float], list[float]]:
+    """The three character-stream checks of one run, from one walk of the characters.
+
+    Returns, with the bits of the separate calls,
+    ``verify_dirichlet_integral(f.base)``, ``verify_kernel_abel`` of the
+    norlund families among ``families`` and ``verify_mean_paths(f, families,
+    orders)``.
+    """
+    norlund = [w for w in families if w.mean_type == "norlund"]
+    return _stream_checks(f.base, orders, integral=True, kernel_families=norlund, f=f,
+                          mean_families=families)
+
+
+def _stream_checks(base: VilenkinBase, orders, integral=False, kernel_families=(), f=None,
+                   mean_families=()) -> tuple[float, list[float], list[float]]:
+    """The Dirichlet integral, kernel-Abel and mean-path residuals from one :func:`_abel_accumulate`.
+
+    Every order is range-checked first.  The stream runs on the unit spectrum
+    (for the Dirichlet integral and the kernel rows) and on f's spectrum (for
+    the mean rows), stacked, as far as the longest row, or over all M_N
+    characters with ``integral``.  Each kernel row (w, n) accumulates only
+    its Abel sum; each mean row both its direct and its Abel sum.  An absent
+    check gives 0.0 or an empty list.
+    """
+    kernel_live = _live_rows(kernel_families, base, orders)
+    mean_live = _live_rows(mean_families, base, orders)
+    unit = integral or bool(kernel_live)
+    spectra = np.ones((unit + bool(mean_live), base.size), dtype=np.complex128)
+    rows = [(0, "abel", w, n) for _, w, n in kernel_live]
+    coeffs = None
+    if mean_live:
+        coeffs = spectra[-1] = forward(f).coeffs
+        rows += [(len(spectra) - 1, route, w, n) for route in ("direct", "abel") for _, w, n in mean_live]
+    sums, dirichlet = _abel_accumulate(base, spectra, rows, integral)
+
+    kernel_worst = [0.0] * len(kernel_families)
+    kernels = _synthesize(base, np.ones(base.size), (_profile("norlund", w, n) for _, w, n in kernel_live))
+    for (i, _, _), rebuilt, kernel in zip(kernel_live, sums, kernels):
+        kernel_worst[i] = max(kernel_worst[i], _deviation(rebuilt, kernel))
+
+    mean_worst = [0.0] * len(mean_families)
+    direct = sums[len(kernel_live) : len(kernel_live) + len(mean_live)]
+    abel = sums[len(kernel_live) + len(mean_live) :]
+    spectral = _synthesize(base, coeffs, (_profile(w.mean_type, w, n) for _, w, n in mean_live))
     seen = set()
-    for (i, w, n), exact, rebuilt, multiplied in zip(live, direct, abel, spectral):
+    for (i, w, n), exact, rebuilt, multiplied in zip(mean_live, direct, abel, spectral):
         pairs = [(multiplied, exact), (rebuilt, exact)]
         if i not in seen:
             seen.add(i)
@@ -617,8 +689,8 @@ def verify_mean_paths(f: StepFunction, families, orders) -> list[float]:
                 (mean(f, w, n, "direct").values, exact),
                 (mean(f, w, n, "abel").values, rebuilt),
             ]
-        worst[i] = max(worst[i], *(_deviation(a, b) for a, b in pairs))
-    return worst
+        mean_worst[i] = max(mean_worst[i], *(_deviation(a, b) for a, b in pairs))
+    return dirichlet, kernel_worst, mean_worst
 
 
 def kernel_l1_profile(

@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vilenkin import cli
+from vilenkin import cli, summability
 from vilenkin.analysis import convergence_sweep, lp_norm, records_to_csv
 from vilenkin.corpus import corpus
 from vilenkin.group import VilenkinBase
 from vilenkin.summability import (
-    dirichlet, fejer_kernel, kernel_for, norlund_kernel, t_kernel, weights_from_spec,
+    dirichlet, fejer_kernel, kernel_for, norlund_kernel, t_kernel, verify_dirichlet_integral,
+    verify_kernel_abel, verify_mean_paths, weights_from_spec,
 )
 from vilenkin.transform import StepFunction, character_values
 
@@ -132,6 +133,34 @@ class TestVerifyCommand:
             "abel_prefix_sum[blog:0.5:1]", "kernel_mass[blog:0.5:1]",
             "mean_path_agreement[blog:0.5:1]",
         ]
+
+    # the groups of the verify benchmark workload
+    @pytest.mark.parametrize("spec, depth", [("2", 7), ("3", 5), ("2,3", 6), ("2,3,2,2", 6), ("5,2", 5)])
+    def test_one_character_walk_serves_the_stream_checks(self, tmp_path, monkeypatch, spec, depth):
+        # one stream over all M_N characters per run, with the bits of the three separate checks
+        base = VilenkinBase.parse(spec, depth)
+        stops = []
+        rows = summability._character_rows
+        monkeypatch.setattr(
+            summability, "_character_rows", lambda b, start, stop: stops.append(stop) or rows(b, start, stop)
+        )
+        path = tmp_path / "report.json"
+        argv = ["verify", "--base", spec, "--depth", str(depth), "--seed", "5", "--out", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert stops.count(base.size) == 1
+        monkeypatch.undo()
+        residuals = {c["name"]: c["residual"] for c in json.loads(path.read_text())["checks"]}
+        rng = np.random.default_rng(5)  # the f of run_verify
+        f = StepFunction(base, rng.uniform(-1, 1, base.size) + 1j * rng.uniform(-1, 1, base.size))
+        families = cli._weight_list(cli.DEFAULT_WEIGHTS)
+        norlund = [w for w in families if w.mean_type == "norlund"]
+        orders = cli._sample_orders(base)
+        assert residuals["dirichlet_integral"] == verify_dirichlet_integral(base)
+        for w, residual in zip(norlund, verify_kernel_abel(norlund, base, orders), strict=True):
+            assert residuals[f"kernel_abel_identity[{w.kind}]"] == residual
+        for w, residual in zip(families, verify_mean_paths(f, families, orders), strict=True):
+            assert residuals[f"mean_path_agreement[{w.kind}]"] == residual
 
     def test_tolerance_failure_sets_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "EXACT_TOL", -1.0)

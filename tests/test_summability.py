@@ -32,6 +32,7 @@ from vilenkin.summability import (
     verify_kernel_abel,
     verify_kernel_mass,
     verify_mean_paths,
+    verify_stream_identities,
     weights_from_spec,
 )
 from vilenkin.transform import (
@@ -148,12 +149,17 @@ class TestWeights:
         (lambda: make_weights("blog", alpha=-1.0, beta=1), "blog needs alpha > 0, got -1.0"),
         (lambda: make_weights("blog", alpha=0.5, beta=0), "blog needs integer beta >= 1, got 0"),
         (lambda: make_weights("blog", alpha=0.5, beta=1.5), "blog needs integer beta >= 1, got 1.5"),
+        (lambda: make_weights("blog", alpha=0.5, beta=math.inf), "blog needs integer beta >= 1, got inf"),
+        (lambda: make_weights("blog", alpha=0.5, beta=math.nan), "blog needs integer beta >= 1, got nan"),
+        (lambda: make_weights("cesaro", alpha=0.5, beta=3), "cesaro takes no beta, got 3"),
+        (lambda: make_weights("constant", alpha=0.7), "constant takes no alpha, got 0.7"),
         (lambda: make_weights("nope"),
          "unknown weight kind 'nope'; expected one of "
          "('constant', 'cesaro', 'valpha', 'riesz_log', 'norlund_log', 'blog')"),
         (lambda: weights_from_spec("bogus:1"), "unknown weight kind 'bogus' in 'bogus:1'"),
         (lambda: make_weights("constant").q(-1), "weight index must be >= 0, got -1"),
     ], ids=["cesaro-1.5", "cesaro-none", "valpha-0", "blog-alpha", "blog-beta-0", "blog-beta-1.5",
+            "blog-beta-inf", "blog-beta-nan", "cesaro-surplus-beta", "constant-surplus-alpha",
             "unknown-kind", "unknown-spec-kind", "negative-index"])
     def test_parameter_messages(self, build, message):
         with pytest.raises(ValueError) as info:
@@ -548,7 +554,9 @@ class TestMeans:
         f = random_step(BASE232, 11)
         families = [weights_from_spec(spec) for spec in ALL_FAMILIES]
         rows = [(w, n) for w in families for n in (2, 5, 12) if w.Q(n) > 0]
-        direct, abel = summability._abel_accumulate(BASE232, forward(f).coeffs, rows)
+        routes = [(0, route, w, n) for route in ("direct", "abel") for w, n in rows]
+        sums, _ = summability._abel_accumulate(BASE232, forward(f).coeffs[None], routes)
+        direct, abel = sums[: len(rows)], sums[len(rows) :]
         for (w, n), direct_row, abel_row in zip(rows, direct, abel):
             assert np.array_equal(mean(f, w, n, "direct").values, direct_row)
             assert np.array_equal(mean(f, w, n, "abel").values, abel_row)
@@ -680,8 +688,9 @@ class TestPrefixSynthesis:
         base = VilenkinBase.parse("2,3", 8)
         f = random_step(base, 20)
         w = make_weights("cesaro", alpha=0.5)
+        rows = [(0, "direct", w, 300), (0, "abel", w, 300)]
         expected = (
-            summability._abel_accumulate(base, forward(f).coeffs, [(w, 300)]),
+            summability._abel_accumulate(base, forward(f).coeffs[None], rows)[0],
             verify_dirichlet_integral(base),
             transform.forward_naive(f).coeffs,
             transform.convolve(f, f).values,
@@ -691,12 +700,12 @@ class TestPrefixSynthesis:
             raise AssertionError(f"an oracle asked for the prefix group of {n} points")
 
         monkeypatch.setattr(VilenkinBase, "covering", refuse)
-        direct, abel = summability._abel_accumulate(base, forward(f).coeffs, [(w, 300)])
+        (direct, abel), _ = summability._abel_accumulate(base, forward(f).coeffs[None], rows)
         assert np.array_equal(direct, expected[0][0]) and np.array_equal(abel, expected[0][1])
         assert verify_dirichlet_integral(base) == expected[1]
         assert np.array_equal(transform.forward_naive(f).coeffs, expected[2])
         assert np.array_equal(transform.convolve(f, f).values, expected[3])
-        assert np.array_equal(mean(f, w, 300, "direct").values, direct[0])
+        assert np.array_equal(mean(f, w, 300, "direct").values, direct)
         with pytest.raises(AssertionError, match="prefix group"):
             mean(f, w, 300, "kernel")
 
@@ -790,7 +799,8 @@ class TestAbelIdentities:
         families = [weights_from_spec(s) for s in NORLUND_FAMILIES]
         orders = grid_orders(base)
         rows = [(w, n) for w in families for n in orders if w.Q(n) > 0]
-        _, abel = summability._abel_accumulate(base, np.ones(base.size), rows)
+        abel, _ = summability._abel_accumulate(
+            base, np.ones((1, base.size)), [(0, "abel", w, n) for w, n in rows])
         loop = {w: 0.0 for w in families}
         for (w, n), rebuilt in zip(rows, abel):
             kernel = norlund_kernel(w, base, n).values
@@ -1074,6 +1084,11 @@ def _scaled_dft_entry(dft_matrix):
     return faulty
 
 
+def _shared_families():
+    # one norlund family with kernel rows, one tmean family without
+    return [make_weights("valpha", alpha=0.5), make_weights("riesz_log")]
+
+
 def _scaled_psi_top(character_values):
     # psi_{M_r - 1} of the level-2 complement on 2,3,2 (M_2 = 6)
     return lambda base, n: character_values(base, n) * (FAULT if n == 5 else 1.0)
@@ -1097,6 +1112,14 @@ def _scaled_psi_top(character_values):
      COMPOSED),
     (summability, "_character_rows", _scaled_psi_0,
      lambda: verify_mean_paths(random_step(BASE232, 12), [make_weights("riesz_log")], [7])[0],
+     COMPOSED),
+    (summability, "_character_rows", _scaled_psi_0,
+     lambda: verify_stream_identities(random_step(BASE232, 12), _shared_families(), [7])[0], EXACT),
+    (summability, "_character_rows", _scaled_psi_0,
+     lambda: verify_stream_identities(random_step(BASE232, 12), _shared_families(), [7])[1][0],
+     COMPOSED),
+    (summability, "_character_rows", _scaled_psi_0,
+     lambda: max(verify_stream_identities(random_step(BASE232, 12), _shared_families(), [7])[2]),
      COMPOSED),
     (transform, "_dft_matrix", _scaled_dft_entry,
      lambda: verify_mean_paths(
@@ -1122,7 +1145,8 @@ def _scaled_psi_top(character_values):
     (analysis, "convolve_spectral", _scaled_tenfold,
      lambda: verify_young(random_step(BASE232, 21), random_step(BASE232, 22)), EXACT),
 ], ids=["orthonormality", "dirichlet_integral", "abel_prefix_sum", "abel_prefix_sum_q", "kernel_abel",
-        "kernel_mass", "mean_paths", "mean_paths_stream", "mean_paths_dft_333", "kernel_abel_dft_333",
+        "kernel_mass", "mean_paths", "mean_paths_stream", "dirichlet_integral_shared_walk",
+        "kernel_abel_shared_walk", "mean_paths_shared_walk", "mean_paths_dft_333", "kernel_abel_dft_333",
         "dirichlet_complement",
         "dirichlet_complement_psi", "block_kernel_split", "fast_vs_naive", "round_trip", "parseval",
         "convolution", "young"])

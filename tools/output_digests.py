@@ -39,6 +39,10 @@ _VERIFY = [
     "--base 4 --depth 5",
     "--base 7 --depth 3",
     "--base 16 --depth 2",
+    # the shared character stream with no norlund family, so no kernel-Abel
+    # rows, and with one family whose Q_1 is 0
+    "--base 2,3 --depth 4 --weights riesz_log,blog:0.5:1",
+    "--base 3,2 --depth 5 --weights norlund_log",
 ]
 _CONVERGE = [
     "--base 2 --depth 9 --weights cesaro:0.5 --n 1..512",
