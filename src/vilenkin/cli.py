@@ -377,7 +377,8 @@ def main(argv=None) -> int:
             chosen.set_defaults(**_read_config(args.config, keys))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

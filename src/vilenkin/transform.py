@@ -59,6 +59,12 @@ coeffs[n] equals the exact Haar integral of f * conj(psi_n); the inverse
 carries no factor.  The factor is one rule on every call: the float64 view
 of the result times ``1.0 / M_N``, the products numpy's complex division by
 M_N computes, except that a zero component keeps its sign.
+
+:class:`StepFunction` and :class:`Spectrum` are two subclasses of one frozen
+container, ``_Container``, which holds the one check: its constructor stores a
+read-only copy, :func:`_adopt` a fresh array as it is, and its CSV methods use
+the subclass's index column.  A subclass names only its field, error nouns
+and CSV index.
 """
 
 from __future__ import annotations
@@ -77,14 +83,38 @@ from .group import GroupPoint, VilenkinBase, _check_same_base, _translates, deco
 
 
 @dataclass(frozen=True)
-class StepFunction:
-    """Complex function constant on rank-N cosets, one value per rank."""
+class _Container:
+    """A read-only complex array ``_field`` with one finite entry per rank of ``base``."""
 
     base: VilenkinBase
-    values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(self.base, self.values, "value", "a step function"))
+        self._hold(np.array(getattr(self, self._field), dtype=np.complex128))
+
+    def _hold(self, data: np.ndarray) -> None:
+        """Store ``data`` itself, set read-only once it holds one finite entry per rank."""
+        base = self.base
+        if data.shape != (base.size,):
+            raise ValueError(f"expected {base.size} {self._noun}s for {base}, got shape {data.shape}")
+        if not np.isfinite(data.view(np.float64)).all():
+            raise ValueError(f"non-finite {self._noun} in {self._owner} on {base}")
+        data.setflags(write=False)
+        object.__setattr__(self, self._field, data)
+
+    def to_csv(self, path) -> None:
+        write_complex_csv(path, self._index, getattr(self, self._field))
+
+    @classmethod
+    def from_csv(cls, base: VilenkinBase, path):
+        return _adopt(cls, base, read_complex_csv(path, base.size))
+
+
+@dataclass(frozen=True)
+class StepFunction(_Container):
+    """Complex function constant on rank-N cosets, one value per rank."""
+
+    values: np.ndarray
+    _field, _noun, _owner, _index = "values", "value", "a step function", "rank"
 
     def integral(self) -> complex:
         """Exact Haar integral (1/M_N) * sum of the values."""
@@ -103,37 +133,13 @@ class StepFunction:
 
     __rmul__ = __mul__
 
-    def to_csv(self, path) -> None:
-        write_complex_csv(path, "rank", self.values)
-
-    @classmethod
-    def from_csv(cls, base: VilenkinBase, path) -> "StepFunction":
-        return _adopt(StepFunction, base, read_complex_csv(path, base.size))
-
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Container):
     """Fourier coefficients coeffs[n] for n < M_N."""
 
-    base: VilenkinBase
     coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _frozen(self.base, self.coeffs, "coefficient", "a spectrum"))
-
-    def to_csv(self, path) -> None:
-        write_complex_csv(path, "n", self.coeffs)
-
-    @classmethod
-    def from_csv(cls, base: VilenkinBase, path) -> "Spectrum":
-        return _adopt(Spectrum, base, read_complex_csv(path, base.size))
-
-
-# The array field of each frozen container, and the noun and owner its errors name.
-_FIELDS = {
-    StepFunction: ("values", "value", "a step function"),
-    Spectrum: ("coeffs", "coefficient", "a spectrum"),
-}
+    _field, _noun, _owner, _index = "coeffs", "coefficient", "a spectrum", "n"
 
 
 def _adopt(cls, base: VilenkinBase, data: np.ndarray):
@@ -143,26 +149,9 @@ def _adopt(cls, base: VilenkinBase, data: np.ndarray):
     the public constructors copy, so a caller's array never aliases a
     frozen one.
     """
-    field, noun, owner = _FIELDS[cls]
     out = object.__new__(cls)
     object.__setattr__(out, "base", base)
-    data = np.asarray(data, dtype=np.complex128)
-    object.__setattr__(out, field, _checked(base, data, noun, owner))
-    return out
-
-
-def _frozen(base: VilenkinBase, data, noun: str, owner: str) -> np.ndarray:
-    """A read-only complex copy of ``data``: one finite entry per rank of ``base``."""
-    return _checked(base, np.array(data, dtype=np.complex128), noun, owner)
-
-
-def _checked(base: VilenkinBase, out: np.ndarray, noun: str, owner: str) -> np.ndarray:
-    """``out`` itself, set read-only once it holds one finite entry per rank of ``base``."""
-    if out.shape != (base.size,):
-        raise ValueError(f"expected {base.size} {noun}s for {base}, got shape {out.shape}")
-    if not np.isfinite(out.view(np.float64)).all():
-        raise ValueError(f"non-finite {noun} in {owner} on {base}")
-    out.setflags(write=False)
+    out._hold(np.asarray(data, dtype=np.complex128))
     return out
 
 
@@ -507,9 +496,9 @@ def forward_naive_batch(base: VilenkinBase, values: np.ndarray) -> np.ndarray:
 
 
 def _convolve_block_rows(size: int) -> int:
-    # About 2^15 terms (512 KiB) per block: enough rows to spread the Python
-    # work of a block, few enough to stay in cache.
-    return max(1, (1 << 15) // size)
+    # One cache block of terms, as for the stage engine (see _BLOCK_VALUES):
+    # enough rows to spread the Python work of a block, few enough to stay in cache.
+    return max(1, _BLOCK_VALUES // size)
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -545,6 +546,26 @@ def test_a_two_pass_run_exits_with_its_block_thread_idle(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert len((tmp_path / "k.csv").read_text().splitlines()) == 1 + 2**16
+
+
+def test_a_radix_too_large_for_memory_exits_2(tmp_path):
+    # the radix-32768 DFT matrix needs 8 GiB; under a 3 GiB address-space
+    # limit numpy's MemoryError must end in one error line, not a traceback
+    def limit_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["kernel-dump", "--base", "32768,2", "--depth", "2", "--cap", "65536"]
+    done = subprocess.run(
+        [sys.executable, "-m", "vilenkin", *argv, "--out", str(tmp_path / "k.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), done.stderr
 
 
 class TestFileErrors:
