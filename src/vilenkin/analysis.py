@@ -274,4 +274,4 @@ def records_to_csv(records: list[ConvergenceRecord], path) -> None:
         norm = f"{rec.mean_kind},{rec.n},{p_texts[rec.p]},{rec.error!r},"
         lines.append(norm + ",")
         lines.extend(norm + text for text in point_texts)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])

@@ -215,7 +215,7 @@ def cmd_verify(args) -> int:
                 for c in checks
             ],
         }
-        transform._write_text(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        transform._write_text(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     if not passed:
         failing = [c.name for c in checks if not c.passed]
         print(f"FAILED: {', '.join(failing)}", file=sys.stderr)
@@ -269,7 +269,7 @@ def cmd_bench(args) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        transform._write_text(args.out, text)
+        transform._write_text(args.out, [text])
     print(text, end="")
     return 0
 

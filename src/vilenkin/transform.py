@@ -19,37 +19,22 @@ where the DFT matrix of size 2 holds exp(i*pi) = -1 + 1.2e-16i, so results
 differ from a matrix stage in the last bits.
 
 Every call, of any size or stack, runs that loop in cache-sized blocks of
-``_BLOCK_VALUES`` = 2^15 complex values (512 KiB, a block that stays in L2
-cache with its stage temporaries, where every stage over a larger vector
-would stream it from memory and back, once per digit), through two passes
-(the four-step split of D. H. Bailey, "FFTs in external or hierarchical
-memory", J. Supercomputing 4, 1990).  The digits split at the largest K
-with M_K <= ``_BLOCK_VALUES``, at least one digit, and the stack is read as
-the (rows * M_N/M_K, M_K) matrix.  Pass 1 runs the loop of the low group
-G(m_0..m_{K-1}) on blocks of whole matrix rows, alternating its stages
-between the block's own output rows and one spare sized by the rows of a
-block.  Up to the block K = N, so pass 1 is the whole transform.  Pass 2
-sweeps the output in place once per high digit j, read as the
-(rows * M_N/M_{j+1}, m_j, M_j) array whose middle axis is the digit, in
-chunks of m_j contiguous rows of ``_BLOCK_VALUES // m_j`` columns: the
-butterfly on a chunk's two rows through one scratch row, or the DFT matrix
-times the chunk into a scratch copied back.  Nothing is copied out or
-transposed, and the digits stay in natural order.
+``_BLOCK_VALUES`` = 2^15 complex values (512 KiB, which stay in L2 cache with
+their stage temporaries, where a stage over a larger vector would stream it
+from memory and back once per digit), through the two passes of
+:func:`_two_pass` (the four-step split of D. H. Bailey, "FFTs in external or
+hierarchical memory", J. Supercomputing 4, 1990): pass 1 runs the low digits
+up to the block on blocks of whole rows, and pass 2 sweeps each higher digit
+in place (:func:`_digit_sweep`).  Nothing is copied out or transposed, and
+the digits stay in natural order.
 
 The blocks of a pass, and the chunks of a digit, are independent, and numpy
-lets go of the GIL inside its ufunc loops and ``matmul``, so each pass and
-each digit runs its blocks on two workers, the calling thread and one pool
-thread, each taking the next block when it has finished one, and ends only
-when both have stopped.  A worker held back by the system (a virtual CPU
-taken by its host, say) so leaves its blocks to the other rather than
-holding up the pass.  Each worker holds one block of scratch, which keeps a
-row's scratch at one output plus a few blocks; a third worker would add a
-third, so there are at most two, and one on a single usable CPU.  A pass of
-one block runs on the caller alone; the pool and ``concurrent.futures`` are
-made by the first pass with more than one block, never at import.  Every
-group up to the block and every group of radices 2, 4, 8 and 16 keep the
-bits of the whole-vector loop, and no group's bits depend on the number of
-workers, on which worker ran a block or on how many rows share the call.
+lets go of the GIL inside its ufunc loops and ``matmul``, so
+:func:`_in_workers` runs them on the calling thread and at most one pool
+thread, made by the first pass of more than one block, never at import.
+Every group up to the block and every group of radices 2, 4, 8 and 16 keep
+the bits of the whole-vector loop, and no group's bits depend on the number
+of workers, on which worker ran a block or on how many rows share the call.
 Above the block, a matrix stage on a product of another shape may move the
 last bit (seen at radices 3, 5 and 7 and on 2,3 x 12 and x 13, 2,3,5 x 12
 and 2,3,5,7 x 8; 2,3,5 x 10 kept every bit).
@@ -59,6 +44,11 @@ coeffs[n] equals the exact Haar integral of f * conj(psi_n); the inverse
 carries no factor.  The factor is one rule on every call: the float64 view
 of the result times ``1.0 / M_N``, the products numpy's complex division by
 M_N computes, except that a zero component keeps its sign.
+
+The literal oracles never read the stage engine.  One literal transform,
+:func:`_literal_forward`, serves :func:`forward_naive` and
+:func:`verify_fast_vs_naive` a cache block of characters at a time, the
+block rule direct :func:`convolve` takes its terms by.
 
 :class:`StepFunction` and :class:`Spectrum` are two subclasses of one frozen
 container, ``_Container``, which holds the one check: its constructor stores a
@@ -71,9 +61,10 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import contextlib
 import os
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -468,37 +459,36 @@ def inverse(spectrum: Spectrum) -> StepFunction:
     return _adopt(StepFunction, spectrum.base, _separable_apply(spectrum.base, spectrum.coeffs, +1))
 
 
-def _naive_block_size(size: int) -> int:
-    # Cap scratch at ~64 MiB of complex128 per block.
-    return max(1, min(size, (1 << 22) // max(size, 1)))
-
-
 def forward_naive(f: StepFunction) -> Spectrum:
     """Literal O(M_N^2) transform; the oracle the fast path is checked against."""
-    batch = forward_naive_batch(f.base, f.values[None, :])
-    return _adopt(Spectrum, f.base, batch[0])
+    return _adopt(Spectrum, f.base, _literal_forward(f.base, f.values[None])[0])
 
 
-def forward_naive_batch(base: VilenkinBase, values: np.ndarray) -> np.ndarray:
-    """Apply the literal-sum transform to each row of ``values``."""
+def _literal_block_rows(size: int) -> int:
+    # Rows of one cache block of values (see _BLOCK_VALUES), for both literal oracles.
+    return max(1, _BLOCK_VALUES // size)
+
+
+def _literal_forward(base: VilenkinBase, values) -> np.ndarray:
+    """The literal-sum transform of each row of the (rows, M_N) stack ``values``.
+
+    One walk of :func:`_character_rows` fills a reused buffer of conjugated
+    rows, and each row of ``values`` meets the whole buffer in a matrix-vector
+    product of its own, so it gets the bits of a call on it alone.  numpy
+    sends a one-row product to its dot routine, which can round otherwise,
+    so the buffer has two rows or more and the last block reuses stale ones.
+    """
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 2 or values.shape[1] != base.size:
         raise ValueError(f"expected rows of length {base.size}")
     out = np.empty_like(values)
-    step = _naive_block_size(base.size)
-    for lo in range(0, base.size, step):
-        hi = min(lo + step, base.size)
-        block = character_block(base, lo, hi)
-        np.conjugate(block, out=block)
-        out[:, lo:hi] = values @ block.T
-        del block  # so that at most one block of scratch is alive
+    buffer = np.empty((min(max(2, _literal_block_rows(base.size)), base.size), base.size), dtype=np.complex128)
+    psi = _character_rows(base, 0, base.size)
+    for lo in range(0, base.size, len(buffer)):
+        for row, psi_n in zip(buffer, psi):
+            np.conjugate(psi_n, out=row)
+        out[:, lo : lo + len(buffer)] = np.matmul(buffer, values[:, :, None])[:, : base.size - lo, 0]
     return out / base.size
-
-
-def _convolve_block_rows(size: int) -> int:
-    # One cache block of terms, as for the stage engine (see _BLOCK_VALUES):
-    # enough rows to spread the Python work of a block, few enough to stay in cache.
-    return max(1, _BLOCK_VALUES // size)
 
 
 def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -513,7 +503,7 @@ def convolve(f: StepFunction, g: StepFunction) -> StepFunction:
     base = f.base
     out = np.zeros(base.size, dtype=np.complex128)
     support = np.flatnonzero(g.values)
-    step = _convolve_block_rows(base.size)
+    step = _literal_block_rows(base.size)
     stack = np.empty((min(step, len(support)) + 1, base.size), dtype=np.complex128)
     for lo in range(0, len(support), step):
         t = support[lo : lo + step]
@@ -551,8 +541,8 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def verify_fast_vs_naive(base: VilenkinBase, values) -> float:
-    """Largest |forward - forward_naive_batch| over the rows of ``values`` and their frequencies."""
-    oracle = forward_naive_batch(base, values)
+    """Largest |forward - forward_naive| over the rows of ``values`` and their frequencies."""
+    oracle = _literal_forward(base, values)
     fast = (forward(StepFunction(base, row)).coeffs for row in values)
     return max(_deviation(a, b) for a, b in zip(fast, oracle))
 
@@ -576,22 +566,33 @@ def write_complex_csv(path, index_name: str, values: np.ndarray) -> None:
     """CSV with columns (index, re, im); repr floats, '.' decimal point.
 
     A list's repr joins the reprs of its floats with ", ", so each column's
-    strings come from one ``repr`` of the whole column.
+    strings come from one ``repr`` of a chunk of ``_BLOCK_VALUES`` rows, and
+    the whole text is never held at once.
     """
     values = np.asarray(values, dtype=np.complex128)
-    re_text = repr(values.real.tolist())[1:-1].split(", ")
-    im_text = repr(values.imag.tolist())[1:-1].split(", ")
-    rows = [f"{i},{re},{im}\n" for i, re, im in zip(range(len(values)), re_text, im_text)]
-    _write_text(path, f"{index_name},re,im\n" + "".join(rows))
+    _write_text(path, _csv_chunks(index_name, values))
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to a stream, or to a file path as ASCII with '\\n' line ends."""
-    if hasattr(path, "write"):
-        path.write(text)
-        return
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+def _csv_chunks(index_name: str, values: np.ndarray) -> Iterator[str]:
+    """The header line of :func:`write_complex_csv`, then the text of each chunk of its rows."""
+    yield f"{index_name},re,im\n"
+    for lo in range(0, len(values), _BLOCK_VALUES):
+        chunk = values[lo : lo + _BLOCK_VALUES]
+        re_text = repr(chunk.real.tolist())[1:-1].split(", ")
+        im_text = repr(chunk.imag.tolist())[1:-1].split(", ")
+        yield "".join([f"{i},{re},{im}\n" for i, re, im in zip(range(lo, lo + len(chunk)), re_text, im_text)])
+
+
+def _write_text(path, pieces: Iterable[str]) -> None:
+    """Write each string of ``pieces`` in turn to a stream, or to a file path as ASCII with '\\n' line ends.
+
+    A file is opened first, so a failure part way (a full disk, say) leaves the pieces written before it.
+    """
+    if not hasattr(path, "write"):
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            return _write_text(fh, pieces)
+    for piece in pieces:
+        path.write(piece)
 
 
 def read_complex_csv(path, expected_length: int) -> np.ndarray:
@@ -605,11 +606,8 @@ def read_complex_csv(path, expected_length: int) -> np.ndarray:
     bad line and also takes what ``float`` accepts and ``loadtxt`` does not
     (``1_0.5``).  Only that fallback numbers the lines.
     """
-    if hasattr(path, "read"):
-        lines = path.read().splitlines()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+    with contextlib.nullcontext(path) if hasattr(path, "read") else open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
     rows = list(filter(str.strip, lines[1:]))
     if len(rows) != expected_length:
         raise ValueError(f"expected {expected_length} rows, got {len(rows)}")

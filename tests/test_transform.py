@@ -28,7 +28,6 @@ from vilenkin.transform import (
     convolve_spectral,
     forward,
     forward_naive,
-    forward_naive_batch,
     inverse,
     rademacher,
     read_complex_csv,
@@ -191,8 +190,8 @@ class TestForward:
                 assert np.max(np.abs(fast - naive)) <= EXACT
 
     def test_naive_scratch_is_one_block(self):
-        # each block (at most 2^22 values, 64 MiB) is conjugated in place and
-        # released before the next one is built
+        # one reused buffer of 2^15 conjugated values, the digit rows of the
+        # character walk and the output: 2.4 MiB traced at 2^12
         f = random_step(VilenkinBase.parse("2", 12), 5)
         tracemalloc.start()
         try:
@@ -200,15 +199,50 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 16 * 2**22
+        assert peak < 4 * 2**20
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(5)
-        values = rng.uniform(-1, 1, (8, BASE232.size))
-        batch = forward_naive_batch(BASE232, values)
-        for i in range(8):
-            single = forward_naive(StepFunction(BASE232, values[i])).coeffs
-            np.testing.assert_allclose(batch[i], single, atol=EXACT)
+    @pytest.mark.parametrize("spec, depth", [("3", 5), ("5,2", 5), ("2", 12)])
+    def test_stacked_rows_equal_one_row_calls(self, spec, depth, monkeypatch):
+        base = VilenkinBase.parse(spec, depth)
+        rng = np.random.default_rng(depth)
+        values = rng.uniform(-1, 1, (3, base.size)) + 1j * rng.uniform(-1, 1, (3, base.size))
+        single = np.array([forward_naive(StepFunction(base, row)).coeffs for row in values])
+        stacked = transform._literal_forward(base, values)
+        assert np.array_equal(stacked.view(float), single.view(float))
+        # blocks of 1, 7 and M_N rows, but 512 at 2^12, where M_N rows would take 256 MiB
+        for rows in (1, 7, min(base.size, 512)):
+            monkeypatch.setattr(transform, "_literal_block_rows", lambda size, rows=rows: rows)
+            assert np.array_equal(transform._literal_forward(base, values).view(float), single.view(float))
+
+    def test_stacked_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """A 3-row stack on 3^5 gives the same bytes at OPENBLAS_NUM_THREADS 1 and 2.
+
+        On a one-CPU machine OpenBLAS may cap its thread count at one, and
+        then this passes trivially.
+        """
+        script = (
+            "import hashlib, numpy as np\n"
+            "from vilenkin import transform\n"
+            "from vilenkin.group import VilenkinBase\n"
+            "base = VilenkinBase.parse('3', 5)\n"
+            "rng = np.random.default_rng(5)\n"
+            "values = rng.uniform(-1, 1, (3, base.size)) + 1j * rng.uniform(-1, 1, (3, base.size))\n"
+            "print(hashlib.sha256(transform._literal_forward(base, values).tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("shape", [(1, 11), (2, 13), (12,), (1, 1, 12)])
+    def test_rows_of_another_length_are_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape("expected rows of length 12")):
+            transform.verify_fast_vs_naive(BASE232, np.ones(shape))
 
 
 MAX_PROPERTY_SIZE = 512
@@ -696,7 +730,7 @@ class TestConvolution:
         # at least three full t-blocks and a partial one, with a run of zeros of
         # g across every block boundary, against one shift_table per nonzero g(t)
         base = VilenkinBase.parse(spec, depth)
-        rows = transform._convolve_block_rows(base.size)
+        rows = transform._literal_block_rows(base.size)
         count = 3 * rows + rows // 2 + 1
         gaps = np.ones(count, dtype=int)
         gaps[rows::rows] = 2 + np.arange(len(gaps[rows::rows])) % 3
@@ -871,6 +905,23 @@ class TestCsvEquivalence:
             f"{i},{float(v.real)!r},{float(v.imag)!r}\n" for i, v in enumerate(values)
         )
         assert buf.getvalue() == reference
+
+    def test_writer_streams_chunks_of_rows(self, tmp_path):
+        # a full chunk of 2^15 rows and a chunk of one: the bytes of one repr
+        # per value, with no copy of the whole text (10.8 MiB when it was joined)
+        rng = np.random.default_rng(7)
+        rows = transform._BLOCK_VALUES + 1
+        values = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        path = tmp_path / "chunks.csv"
+        tracemalloc.start()
+        try:
+            transform.write_complex_csv(path, "n", values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reference = "n,re,im\n" + "".join(f"{i},{v.real!r},{v.imag!r}\n" for i, v in enumerate(values.tolist()))
+        assert path.read_bytes() == reference.encode("ascii")
+        assert peak < 10 * 2**20
 
     def test_large_spectrum_round_trips_through_the_bulk_path(self, monkeypatch):
         base = VilenkinBase.parse("2", 16)
